@@ -1,10 +1,11 @@
 """Signed permutation groups: BSGS construction and subset detection.
 
 Builds the Riemann slot-symmetry group, inspects its stabilizer chain,
-and shows how (anti)symmetric slot subsets are read off the group.
+shows how (anti)symmetric slot subsets are read off the group, and
+assembles the group of a two-factor product from the factors' chains.
 """
 
-from tensorcanon.perm_group import schreier_sims, detect_symmetric_subsets
+from tensorcanon.perm_group import direct_product, product_subsets, schreier_sims, detect_symmetric_subsets
 from tensorcanon.signed_perm import from_signed_cycles, compose
 
 # R_{abcd}: antisymmetric pairs (1,2) and (3,4), symmetric pair exchange
@@ -29,12 +30,9 @@ print("contains bare +(1,2):", bsgs.contains(from_signed_cycles(4, 1, [(1, 2)]))
 # the subsets array summarizes which slots are mutually (anti)symmetric
 print("symmetric subsets of R:", detect_symmetric_subsets(bsgs).as_list())
 
-# a partially symmetric tensor next to a Riemann factor
-gens10 = [from_signed_cycles(10, 1, [(i, i + 1)]) for i in (3, 4, 5)]
-gens10 += [
-    from_signed_cycles(10, -1, [(7, 8)]),
-    from_signed_cycles(10, 1, [(7, 9), (8, 10)]),
-    from_signed_cycles(10, -1, [(9, 10)]),
-]
-subsets = detect_symmetric_subsets(schreier_sims(10, gens10))
+# a partially symmetric tensor next to a Riemann factor: the product
+# group is assembled from each factor's own chain and subsets
+T = schreier_sims(6, [from_signed_cycles(6, 1, [(i, i + 1)]) for i in (3, 4, 5)])
+print("order of T(sym 3..6) x R:", direct_product([T, bsgs]).group_order)
+subsets = product_subsets([detect_symmetric_subsets(T), detect_symmetric_subsets(bsgs)])
 print("subsets of T(sym 3..6) x R:", subsets.as_list())

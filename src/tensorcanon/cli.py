@@ -7,6 +7,9 @@ Subcommands::
                       [--engines LIST] [--out FILE] [--time-budget SECONDS]
     tensorcanon oracle-check --families LIST [--max-slots K] [--trials N]
                              [--sizes LIST] [--cap N]
+
+Bad declarations or expressions print one ``error: ...`` line on stderr
+and exit with status 2.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 
 from .bench import FAMILIES, generate, run_bench, run_case, oracle_result
 from .canon_baseline import butler_portugal
-from .frontend import Registry, parse, build_problem, render
+from .frontend import FrontendError, Registry, parse, build_problem, render
 
 
 def _cmd_canon(args):
@@ -123,7 +126,11 @@ def main(argv=None):
     p.set_defaults(func=_cmd_oracle_check)
 
     args = top.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FrontendError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

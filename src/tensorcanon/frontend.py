@@ -32,6 +32,15 @@ alphabetically, then component classes grouped by bundle and numeral,
 then one dummy class per bundle (pairs ordered by name, lower leg
 first).  Canonical output renames dummies: pair k of a bundle gets the
 k-th smallest of the originally used names.
+
+Slot group
+----------
+
+The frontend models no exchange of equal factors, so a monomial's slot
+group is the product of its factors' groups, which share only the sign.
+Each :class:`TensorDecl` computes its own chain and symmetric subsets on
+first use and keeps them; :func:`build_problem` shifts them into place
+for every monomial (``perm_group.direct_product``).
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from dataclasses import dataclass, field
 from .canon_fast import canonicalize, CanonResult
 from .canon_baseline import LabelBsgs
 from .label_context import IndexClass, build as build_context
-from .perm_group import schreier_sims, detect_symmetric_subsets
+from .perm_group import direct_product, product_subsets, schreier_sims, detect_symmetric_subsets
 from .signed_perm import SignedPermutation, from_signed_cycles, parse_cycles
 
 
@@ -55,13 +64,27 @@ class TensorDecl:
     name: str
     rank: int
     gens: list = field(default_factory=list)  # SignedPermutation, degree == rank
+    _chain: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise FrontendError(f"tensor {self.name}: rank must be positive, got {self.rank}")
         for g in self.gens:
             if g.degree != self.rank:
                 raise FrontendError(
                     f"tensor {self.name}: generator degree {g.degree} != rank {self.rank}"
                 )
+
+    def chain(self):
+        """(slot Bsgs, SymmetricSubsets) over the local slots 1..rank.
+
+        Computed on first use, not at declaration, and kept for every
+        later monomial; redeclaring the name makes a new, empty decl.
+        """
+        if self._chain is None:
+            S = schreier_sims(self.rank, self.gens)
+            self._chain = (S, detect_symmetric_subsets(S))
+        return self._chain
 
 
 @dataclass
@@ -111,6 +134,8 @@ class Registry:
                 raise FrontendError(f"malformed option {tok!r} in {line!r}")
             key, _, val = tok.partition("=")
             if key == "rank":
+                if not re.fullmatch(r"[0-9]+", val):
+                    raise FrontendError(f"tensor {name}: rank must be a positive integer, got {val!r}")
                 rank = int(val)
             elif key == "gens":
                 gens.append(val.strip('"'))
@@ -123,7 +148,10 @@ class Registry:
                 raise FrontendError(f"unknown option {key!r} in {line!r}")
         if rank is None:
             raise FrontendError(f"tensor {name}: rank is required")
-        parsed = _parse_gen_list(", ".join(gens), rank) if gens else []
+        try:
+            parsed = _parse_gen_list(", ".join(gens), rank) if gens else []
+        except ValueError as exc:
+            raise FrontendError(f"tensor {name}: bad generator: {exc}") from None
         for kind, a, b in sym_ranges:
             if not 1 <= a <= b <= rank:
                 raise FrontendError(f"tensor {name}: bad slot range {a}..{b}")
@@ -359,42 +387,21 @@ def _bundle_index(registry, bundle):
 
 
 def build_problem(monomial, registry):
-    """Translate a parsed monomial into a canonicalization problem."""
+    """Translate a parsed monomial into a canonicalization problem.
+
+    The slot group and its symmetric subsets are assembled from each
+    factor's cached chain (:meth:`TensorDecl.chain`), shifted to the
+    factor's slots; nothing is recomputed for a declaration seen before.
+    """
     n, classes, label_info, label_of, dummy_names = _classify(monomial, registry)
     g_init = SignedPermutation(
         tuple(label_of[idx] for idx in range(n)) + (n + 1, n + 2)
     )
-    gens = []
-    offset = 0
-    for f in monomial.factors:
-        decl = registry.tensors[f.tensor]
-        for g in decl.gens:
-            cycles, sign = _shift_cycles(g, offset)
-            gens.append(from_signed_cycles(n, sign, cycles))
-        offset += decl.rank
-    S = schreier_sims(n, gens)
+    chains, local_subsets = zip(*(registry.tensors[f.tensor].chain() for f in monomial.factors))
+    S = direct_product(chains)
     ctx = build_context(classes)
-    subsets = detect_symmetric_subsets(S)
+    subsets = product_subsets(local_subsets)
     return CanonProblem(n, g_init, S, ctx, subsets, classes, label_info, dummy_names)
-
-
-def _shift_cycles(g, offset):
-    """Cycle decomposition of a local generator shifted to global slots."""
-    n = g.degree
-    seen = set()
-    cycles = []
-    for start in range(1, n + 1):
-        if start in seen or g[start] == start:
-            continue
-        cyc = [start]
-        seen.add(start)
-        t = g[start]
-        while t != start:
-            cyc.append(t)
-            seen.add(t)
-            t = g[t]
-        cycles.append(tuple(x + offset for x in cyc))
-    return cycles, g.sign
 
 
 def render(result, monomial, registry):
@@ -406,7 +413,10 @@ def render(result, monomial, registry):
     that a metric-bundle pair whose legs land on two slots of equal
     written variance is normalized to lower-then-upper (the metric
     raises one leg), so every pair prints one lower and one upper leg.
-    The output re-parses to an equivalent monomial.
+    An index of a ``metric=none`` bundle cannot be raised or lowered, so
+    it prints with its own variance wherever it lands: a dummy leg by
+    its leg, a free index as written.  The output re-parses to an
+    equivalent monomial.
     """
     if isinstance(result, CanonResult):
         if result.is_zero:
@@ -419,17 +429,22 @@ def render(result, monomial, registry):
     metric_of.setdefault(_DEFAULT_BUNDLE.name, _DEFAULT_BUNDLE.metric)
     texts = []
     variances = [tok.variance for tok in monomial.slots]  # display-slot order
+    written = {tok.name: tok.variance for tok in monomial.slots}
     pair_slots = {}  # (bundle, pair index) -> display slot positions
     for slot in range(1, n + 1):
         info = label_info[g[slot]]
         if info[0] == "free":
             texts.append(info[1])
+            if registry.bundle_of(info[1]).metric == "none":
+                variances[slot - 1] = written[info[1]]
         elif info[0] == "component":
             texts.append(info[1])
         else:
-            _, bname, k, _leg = info
+            _, bname, k, leg = info
             texts.append(dummy_names[bname][k])
-            if metric_of.get(bname) in ("symmetric", "antisymmetric"):
+            if metric_of.get(bname) == "none":
+                variances[slot - 1] = "d" if leg == "lower" else "u"
+            else:
                 pair_slots.setdefault((bname, k), []).append(slot)
     for (bname, k), slots in pair_slots.items():
         i1, i2 = sorted(slots)

@@ -8,6 +8,12 @@ slots".
 
 Schreier trees are built breadth-first with generators tried in
 ascending index order, which makes coset representatives deterministic.
+
+A group acting on consecutive slot blocks that share only the sign (the
+slot group of a tensor monomial, one block per factor) is assembled by
+:func:`direct_product` from one chain per block, and its symmetric
+subsets by :func:`product_subsets`, without running Schreier-Sims or the
+pairwise subset search over the whole product.
 """
 
 from __future__ import annotations
@@ -21,34 +27,31 @@ class SchreierTree:
     def __init__(self, root, gens, degree):
         self.root = root
         self.degree = degree
-        self._gens = gens
-        # point -> (previous point, generator mapping previous -> point)
-        self._edges = {}
+        # orbit point -> (previous point, generator mapping previous ->
+        # point); the root maps to None
+        self._edges = edges = {root: None}
         self.orbit = [root]
-        seen = {root}
         frontier = [root]
         while frontier:
             nxt = []
             for p in frontier:
                 for g in gens:
                     t = g[p]
-                    if t not in seen:
-                        seen.add(t)
-                        self._edges[t] = (p, g)
+                    if t not in edges:
+                        edges[t] = (p, g)
                         self.orbit.append(t)
                         nxt.append(t)
             frontier = nxt
-        self._orbit_set = seen
 
     def __contains__(self, point):
-        return point in self._orbit_set
+        return point in self._edges
 
     def __len__(self):
         return len(self.orbit)
 
     def rep(self, target):
         """A group element u with u[root] == target."""
-        if target not in self._orbit_set:
+        if target not in self._edges:
             raise KeyError(f"point {target} not in orbit of {self.root}")
         u = identity(self.degree - 2)
         t = target
@@ -201,6 +204,97 @@ def schreier_sims(n, generators):
     return Bsgs(n, frozen, trees)
 
 
+def _shift(g, offset, n):
+    """A permutation of local slots 1..k moved to slots offset+1..offset+k of degree n."""
+    k = g.degree
+    sign = (n + 1, n + 2) if g.sign > 0 else (n + 2, n + 1)
+    return SignedPermutation(
+        tuple(range(1, offset + 1))
+        + tuple(x + offset for x in g.images[:k])
+        + tuple(range(offset + k + 1, n + 1))
+        + sign
+    )
+
+
+class _ShiftedTree:
+    """A block's Schreier tree read with its points moved up by ``offset``.
+
+    Coset representatives are the block's own, shifted when asked for,
+    so assembling a product builds nothing per orbit point.
+    """
+
+    __slots__ = ("_tree", "_offset", "_n", "root")
+
+    def __init__(self, tree, offset, n):
+        self._tree = tree
+        self._offset = offset
+        self._n = n
+        self.root = tree.root + offset
+
+    @property
+    def orbit(self):
+        return [p + self._offset for p in self._tree.orbit]
+
+    def __contains__(self, point):
+        return point - self._offset in self._tree
+
+    def __len__(self):
+        return len(self._tree)
+
+    def rep(self, target):
+        if target not in self:
+            raise KeyError(f"point {target} not in orbit of {self.root}")
+        return _shift(self._tree.rep(target - self._offset), self._offset, self._n)
+
+
+class _ProductGens:
+    """Strong generators per level of a :func:`direct_product`, shifted when asked for."""
+
+    def __init__(self, n, blocks, minus):
+        self._n = n
+        self._blocks = blocks  # (offset, local Bsgs) in slot order
+        self._minus = minus
+
+    def __getitem__(self, level):
+        n = self._n
+        if level > n:
+            return self._minus if level == n + 1 else ()
+        gens = []
+        for offset, c in self._blocks:
+            if offset + c.n < level:
+                continue
+            local = max(1, level - offset)
+            gens.extend(_shift(g, offset, n) for g in c.generators(local))
+        return tuple(gens)
+
+
+def direct_product(chains):
+    """Chain of the product of groups on consecutive slot blocks sharing the sign.
+
+    ``chains`` holds one :class:`Bsgs` per block, over its local slots
+    1..k, in slot order.  Level offset+j of the result is block f's level
+    j moved up by the ``offset`` slots before the block: its Schreier
+    tree shifted, and its strong generators shifted and followed by those
+    of every later block.  The sign level moves iff some block contains
+    -identity.  Orbits, coset representatives, group order and
+    membership equal those of ``schreier_sims`` run on all the shifted
+    generators at once: generators of other blocks fix a block's points,
+    so they add no edge to its trees and no residue to its levels.
+    Trees and generators are shifted on demand.
+    """
+    n = sum(c.n for c in chains)
+    deg = n + 2
+    minus = (identity(n).negated(),) if any(len(c.tree(c.n + 1)) == 2 for c in chains) else ()
+    trees = [None]
+    blocks = []
+    for c in chains:
+        offset = len(trees) - 1
+        blocks.append((offset, c))
+        trees.extend(_ShiftedTree(c.tree(j), offset, n) for j in range(1, c.n + 1))
+    trees += [SchreierTree(n + 1, minus, deg), SchreierTree(n + 2, (), deg), None]
+    return Bsgs(n, _ProductGens(n, blocks, minus), trees)
+
+
 class SymmetricSubsets:
     """Result of symmetric-subset detection.
 
@@ -279,4 +373,26 @@ def detect_symmetric_subsets(bsgs):
             comp_id[r] = next_id
             next_id += 1
         entries[i] = comp_id[r] * sign_of_comp.get(r, 1)
+    return SymmetricSubsets(entries)
+
+
+def product_subsets(parts):
+    """Symmetric subsets of a :func:`direct_product`, from each block's own.
+
+    ``parts`` holds one :class:`SymmetricSubsets` per block, in slot
+    order.  A pair transposition lies in the product iff it lies in one
+    block, so subsets never span blocks: each block's entries are kept,
+    renumbered after the subsets of the blocks before it.  The product
+    contains -identity iff some block does, so it is inconsistent iff
+    some block is.
+    """
+    n = sum(len(p.entries) - 1 for p in parts)
+    if any(p.inconsistent for p in parts):
+        return SymmetricSubsets([0] * (n + 1), inconsistent=True)
+    entries = [0]
+    count = 0
+    for p in parts:
+        local = p.entries[1:]
+        entries.extend(e + count if e > 0 else e - count if e < 0 else 0 for e in local)
+        count += max(map(abs, local), default=0)
     return SymmetricSubsets(entries)

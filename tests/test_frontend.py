@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tensorcanon.frontend import (
@@ -8,7 +10,8 @@ from tensorcanon.frontend import (
     render,
 )
 from tensorcanon.label_context import GroupCode
-from tensorcanon.signed_perm import parse_array
+from tensorcanon.perm_group import detect_symmetric_subsets, schreier_sims
+from tensorcanon.signed_perm import SignedPermutation, format_cycles, parse_array
 
 
 def canon_text(decls, expr):
@@ -47,6 +50,19 @@ def test_declaration_errors():
         reg.declare("bundle v")  # no metric
     with pytest.raises(FrontendError):
         reg.declare("bundle v metric=diagonal")
+
+
+@pytest.mark.parametrize("line", [
+    "tensor T rank=x",
+    'tensor T rank=2 gens="+(1,3)"',
+    "tensor T rank=0",
+    "tensor T rank=-1",
+], ids=["rank-not-a-number", "gens-point-beyond-rank", "rank-zero", "rank-negative"])
+def test_bad_declaration_rejected_when_declared(line):
+    reg = Registry()
+    with pytest.raises(FrontendError):
+        reg.declare(line)
+    assert "T" not in reg.tensors
 
 
 def test_parse_factors_and_variance():
@@ -167,3 +183,119 @@ def test_g_init_encoding():
     prob = build_problem(mono, reg)
     # labels: a=1, b=2, x pair=(3,4); slots read b, a, x-upper, x-lower
     assert prob.g_init == parse_array("<2,1,4,3>|+", 4)
+
+
+@pytest.mark.parametrize("decls, expr, expected", [
+    ("bundle a metric=none\ntensor T rank=4 sym=1..4", "T_{a1 a2}^{a1 a2}", "T_{a1}^{a1}_{a2}^{a2}"),
+    ("bundle a metric=none\ntensor S rank=2 sym=1..2", "S_{a1}^{a2} S_{a2}^{a1}", "S_{a1}^{a2} S^{a1}_{a2}"),
+    ("bundle a metric=none\ntensor S rank=2 sym=1..2", "S^{a2}_{a1}", "S_{a1}^{a2}"),
+], ids=["dummy-pairs-one-factor", "dummy-pairs-two-factors", "frees"])
+def test_no_metric_bundle_prints_own_variance(decls, expr, expected):
+    # a metric=none index cannot change variance, so it carries its own
+    # to whichever slot it lands on; the output is its own canonical form
+    assert canon_text(decls, expr) == expected
+    assert canon_text(decls, expected) == expected
+
+
+def test_no_metric_bundle_outputs_are_fixed_points():
+    rng = random.Random(7)
+    decls = (
+        "bundle a metric=none\ntensor T rank=4 sym=1..4\n"
+        'tensor R rank=4 gens="-(1,2),+(1,3)(2,4),-(3,4)"\ntensor S rank=2 asym=1..2'
+    )
+    reg = Registry()
+    reg.declare_all(decls)
+    for _ in range(40):
+        tensors = [rng.choice("TRS") for _ in range(rng.randint(1, 3))]
+        n = sum(reg.tensors[t].rank for t in tensors)
+        names = [f"a{k}" for k in range(n // 2)] * 2 + ["b"] * (n % 2)
+        variances = ["d"] * (n // 2) + ["u"] * (n // 2) + ["d"] * (n % 2)
+        order = list(range(n))
+        rng.shuffle(order)
+        tokens = [(names[i], variances[i]) for i in order]
+        parts, pos = [], 0
+        for t in tensors:
+            k = reg.tensors[t].rank
+            parts.append(t + "".join(("_{" if v == "d" else "^{") + name + "}" for name, v in tokens[pos : pos + k]))
+            pos += k
+        out = canon_text(decls, " ".join(parts))
+        if out != "0":
+            assert canon_text(decls, out.lstrip("-")) == out.lstrip("-"), (parts, out)
+
+
+def _one_schreier_sims(mono, reg):
+    """The slot group from one Schreier-Sims over every factor's generators, shifted."""
+    n = len(mono.slots)
+    gens = []
+    offset = 0
+    for f in mono.factors:
+        decl = reg.tensors[f.tensor]
+        for g in decl.gens:
+            images = list(range(1, n + 3))
+            images[offset : offset + decl.rank] = [x + offset for x in g.images[: decl.rank]]
+            if g.sign < 0:
+                images[n], images[n + 1] = n + 2, n + 1
+            gens.append(SignedPermutation(images))
+        offset += decl.rank
+    S = schreier_sims(n, gens)
+    return S, detect_symmetric_subsets(S)
+
+
+def _random_declaration(rng, name):
+    rank = rng.randint(1, 5)
+    kind = rng.choice(["sym", "asym", "gens", "gens", "none"])
+    if kind in ("sym", "asym"):
+        a = rng.randint(1, max(1, rank - 1))
+        return f"tensor {name} rank={rank} {kind}={a}..{rng.randint(min(a + 1, rank), rank)}"
+    if kind == "none":
+        return f"tensor {name} rank={rank}"
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(1, rank + 1))
+        rng.shuffle(images)
+        sign = rng.choice([1, -1])
+        gens.append(format_cycles(SignedPermutation(images + ([rank + 1, rank + 2] if sign > 0 else [rank + 2, rank + 1]))))
+    return f'tensor {name} rank={rank} gens="{",".join(gens)}"'
+
+
+def test_product_chain_matches_one_schreier_sims():
+    rng = random.Random(3)
+    inconsistent = 0
+    for trial in range(60):
+        decls = [_random_declaration(rng, f"T{i}") for i in range(4)]
+        # the sign level is shared across factors: a tensor that is minus
+        # itself, appearing twice
+        decls.append('tensor M rank=2 gens="-()"')
+        reg = Registry()
+        reg.declare_all("\n".join(decls))
+        names = list(reg.tensors)
+        factors = [rng.choice(names) for _ in range(rng.randint(1, 4))]
+        if trial % 10 == 0:
+            factors += ["M", "M"]
+        labels = iter(f"i{k}" for k in range(100))
+        expr = " ".join(t + "_{" + " ".join(next(labels) for _ in range(reg.tensors[t].rank)) + "}" for t in factors)
+        mono = parse(expr, reg)
+        prob = build_problem(mono, reg)
+        S_old, subsets_old = _one_schreier_sims(mono, reg)
+        S = prob.S
+        assert S.group_order == S_old.group_order, expr
+        for level in range(1, S.degree + 1):
+            assert S.orbit_of(level) == S_old.orbit_of(level), (expr, level)
+            for t in S.orbit_of(level):
+                assert S.coset_rep(level, t) == S_old.coset_rep(level, t), (expr, level, t)
+            for g in S.generators(level):
+                assert all(g[p] == p for p in range(1, level)) and S_old.contains(g), (expr, level, g)
+        assert prob.subsets.entries == subsets_old.entries, expr
+        assert prob.subsets.inconsistent == subsets_old.inconsistent, expr
+        inconsistent += subsets_old.inconsistent
+    assert 0 < inconsistent < 60
+
+
+def test_redeclared_tensor_gets_a_fresh_chain():
+    reg = Registry()
+    reg.declare("tensor T rank=2 sym=1..2")
+    mono = parse("T_{b a}", reg)
+    assert render(build_problem(mono, reg).canonicalize(), mono, reg) == "T_{a b}"
+    reg.declare("tensor T rank=2 asym=1..2")
+    mono = parse("T_{b a}", reg)
+    assert render(build_problem(mono, reg).canonicalize(), mono, reg) == "-T_{a b}"
