@@ -6,62 +6,3 @@ classic Butler-Portugal double-coset search (``canon_baseline``) and an
 improved single-pass engine with symmetry propagation (``canon_fast``),
 plus a brute-force oracle for small instances and a benchmark harness.
 """
-
-from .signed_perm import (
-    SignedPermutation,
-    identity,
-    from_signed_cycles,
-    compose,
-    inverse,
-    apply,
-    sign_of,
-    lex_compare,
-)
-from .perm_group import Bsgs, schreier_sims, detect_symmetric_subsets
-from .label_context import (
-    GroupCode,
-    IndexClass,
-    LabelContext,
-    build,
-    least_label_reachable,
-    label_permutation_from_group,
-    update_context,
-)
-from .canon_fast import CanonResult, EngineTimeout, canonicalize
-from .canon_baseline import LabelBsgs, butler_portugal, intermediate_config_trace
-from .frontend import TensorDecl, Bundle, Registry, TensorMonomial, CanonProblem, parse, build_problem, render
-
-__all__ = [
-    "SignedPermutation",
-    "identity",
-    "from_signed_cycles",
-    "compose",
-    "inverse",
-    "apply",
-    "sign_of",
-    "lex_compare",
-    "Bsgs",
-    "schreier_sims",
-    "detect_symmetric_subsets",
-    "GroupCode",
-    "IndexClass",
-    "LabelContext",
-    "build",
-    "least_label_reachable",
-    "label_permutation_from_group",
-    "update_context",
-    "CanonResult",
-    "EngineTimeout",
-    "canonicalize",
-    "LabelBsgs",
-    "butler_portugal",
-    "intermediate_config_trace",
-    "TensorDecl",
-    "Bundle",
-    "Registry",
-    "TensorMonomial",
-    "CanonProblem",
-    "parse",
-    "build_problem",
-    "render",
-]

@@ -38,7 +38,7 @@ import numpy as np
 
 from .canon_baseline import butler_portugal
 from .canon_fast import EngineTimeout
-from .frontend import Registry, parse, build_problem, render
+from .frontend import Registry, parse, build_problem, render, factor_text
 from .oracle import enumerate_group, enumerate_label_group, brute_force_canonicalize
 
 FAMILIES = [
@@ -101,20 +101,6 @@ def _matched_expression(rng, ranks, matching_slots=None):
     return tokens
 
 
-def _tokens_to_factor(name, tokens):
-    piece = name
-    run_var, run = None, []
-    for tok, var in tokens:
-        if var != run_var:
-            if run:
-                piece += ("_{" if run_var == "d" else "^{") + " ".join(run) + "}"
-            run_var, run = var, []
-        run.append(tok)
-    if run:
-        piece += ("_{" if run_var == "d" else "^{") + " ".join(run) + "}"
-    return piece
-
-
 def generate(family, size, trial=0):
     """Build one deterministic benchmark case."""
     seed = int.from_bytes(hashlib.sha256(f"{family}/{size}/{trial}".encode()).digest()[:4], "big")
@@ -128,7 +114,7 @@ def generate(family, size, trial=0):
     elif family == "nosym-dummies":
         decls = f"tensor T rank={2 * k}"
         tokens = _matched_expression(rng, [2 * k])
-        expr = _tokens_to_factor("T", tokens)
+        expr = factor_text("T", tokens)
     elif family == "cyclic-dummies":
         cyc = "+(" + ",".join(str(i) for i in range(1, k + 1)) + ")"
         decls = f'tensor T rank={k} gens="{cyc}"\ntensor U rank={k} gens="{cyc}"'
@@ -141,7 +127,7 @@ def generate(family, size, trial=0):
     elif family == "riemann":
         decls = 'tensor R rank=4 gens="-(1,2),+(1,3)(2,4),-(3,4)"'
         tokens = _matched_expression(rng, [4] * k)
-        parts = [_tokens_to_factor("R", tokens[4 * i : 4 * i + 4]) for i in range(k)]
+        parts = [factor_text("R", tokens[4 * i : 4 * i + 4]) for i in range(k)]
         expr = " ".join(parts)
     elif family in ("totalsym-frustrated", "totalsym-random", "pairwise-frustrated", "pairwise-random"):
         if family.startswith("totalsym"):
@@ -160,7 +146,7 @@ def generate(family, size, trial=0):
             tokens = _matched_expression(rng, [k, k], matching_slots=matching)
         else:
             tokens = _matched_expression(rng, [k, k])
-        expr = _tokens_to_factor("T", tokens[:k]) + " " + _tokens_to_factor("U", tokens[k:])
+        expr = factor_text("T", tokens[:k]) + " " + factor_text("U", tokens[k:])
     else:
         raise ValueError(f"unknown family {family!r}")
     registry = Registry()

@@ -226,10 +226,3 @@ def butler_portugal(g_init, S, L, trace=None, deadline=None):
                 return finish(CanonResult.zero(), counts)
         counts.append(len(configs))
     return finish(CanonResult.canonical(configs[0]), counts)
-
-
-def intermediate_config_trace(g_init, S, L):
-    """Run the baseline and return (result, configuration counts per slot)."""
-    trace = {}
-    result = butler_portugal(g_init, S, L, trace=trace)
-    return result, trace["configs_per_slot"]

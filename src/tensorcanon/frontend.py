@@ -13,6 +13,8 @@ Declarations
 transpositions on that slot range and may be repeated.  A bundle is
 matched by name prefix on index tokens (longest declared prefix wins);
 undeclared tokens fall into an implicit symmetric-metric bundle.
+Declaring a name again replaces its declaration; a bundle keeps its
+place in label order.
 
 Expressions
 -----------
@@ -27,11 +29,13 @@ once upper (dummy).
 Label order
 -----------
 
-Labels 1..n are assigned to index classes in <-order: free names
-alphabetically, then component classes grouped by bundle and numeral,
-then one dummy class per bundle (pairs ordered by name, lower leg
-first).  Canonical output renames dummies: pair k of a bundle gets the
-k-th smallest of the originally used names.
+:func:`parse` assigns labels 1..n to the slots once, and the
+monomial keeps them; a bundle declared later does not relabel it.
+Labels go to index classes in <-order: free names alphabetically, then
+component classes grouped by bundle and numeral, then one dummy class
+per bundle in declaration order, the implicit bundle last (pairs
+ordered by name, lower leg first).  Canonical output renames dummies:
+pair k of a bundle gets the k-th smallest of the originally used names.
 
 Slot group
 ----------
@@ -47,6 +51,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from .canon_fast import canonicalize, CanonResult
 from .canon_baseline import LabelBsgs
@@ -102,7 +108,7 @@ class Registry:
 
     def __init__(self):
         self.tensors = {}
-        self.bundles = []  # declaration order matters for label order
+        self.bundles = {}  # name -> Bundle; declaration order matters for label order
 
     def declare(self, line):
         """Parse one declaration line (``tensor ...`` or ``bundle ...``)."""
@@ -173,15 +179,21 @@ class Registry:
                 raise FrontendError(f"unknown option {key!r} in {line!r}")
         if metric is None:
             raise FrontendError(f"bundle {name}: metric is required")
-        self.bundles.append(Bundle(name, metric))
+        self.bundles[name] = Bundle(name, metric)
+
+    def bundle_index(self, token):
+        """Position of the bundle owning an index token: the longest
+        declared name prefix, else the implicit bundle, which sorts after
+        every declared one."""
+        best, best_len = len(self.bundles), -1
+        for i, name in enumerate(self.bundles):
+            if len(name) > best_len and token.startswith(name):
+                best, best_len = i, len(name)
+        return best
 
     def bundle_of(self, token):
-        """The bundle owning an index token: longest declared name prefix."""
-        best = None
-        for b in self.bundles:
-            if token.startswith(b.name) and (best is None or len(b.name) > len(best.name)):
-                best = b
-        return best if best is not None else _DEFAULT_BUNDLE
+        """The bundle owning an index token (see :meth:`bundle_index`)."""
+        return [*self.bundles.values(), _DEFAULT_BUNDLE][self.bundle_index(token)]
 
 
 _DEFAULT_BUNDLE = Bundle("", "symmetric")
@@ -216,6 +228,10 @@ class Factor:
 @dataclass
 class TensorMonomial:
     factors: list  # of Factor
+    labels: tuple  # slot (0-based, factors in order) -> label 1..n
+    classes: list  # IndexClass list in <-order
+    label_info: list  # see CanonProblem
+    dummy_names: dict  # bundle name -> sorted original dummy names
 
     @property
     def slots(self):
@@ -230,8 +246,8 @@ _GROUP_RE = re.compile(r"([_^])\{([^{}]*)\}")
 
 
 def parse(text, registry):
-    """Parse an expression into a validated :class:`TensorMonomial`."""
-    monomial = TensorMonomial([])
+    """Parse an expression into a validated, labelled :class:`TensorMonomial`."""
+    factors = []
     pos = 0
     src = text.strip()
     while pos < len(src):
@@ -257,27 +273,67 @@ def parse(text, registry):
             raise FrontendError(
                 f"tensor {name} has rank {decl.rank} but {len(indices)} indices given"
             )
-        monomial.factors.append(Factor(name, indices))
-    if not monomial.factors:
+        factors.append(Factor(name, indices))
+    if not factors:
         raise FrontendError("empty expression")
-    _validate_balance(monomial, registry)
-    return monomial
+    return _label(factors, registry)
 
 
-def _validate_balance(monomial, registry):
-    occurrences = {}
-    for tok in monomial.slots:
+def _label(factors, registry):
+    """Check that each index name is free or one dummy pair, and label the slots."""
+    bundles = [*registry.bundles.values(), _DEFAULT_BUNDLE]
+    slots = [tok for f in factors for tok in f.indices]
+    occurrences = {}  # index name -> slot positions
+    components = {}  # (bundle index, numeral, text) -> slot positions
+    for pos, tok in enumerate(slots):
         if tok.is_component:
-            continue
-        occurrences.setdefault(tok.name, []).append(tok.variance)
-    for name, vs in occurrences.items():
-        if len(vs) == 1:
-            continue
-        if len(vs) == 2:
-            if sorted(vs) != ["d", "u"]:
+            key = (registry.bundle_index(tok.name), int(tok.name), tok.name)
+            components.setdefault(key, []).append(pos)
+        else:
+            occurrences.setdefault(tok.name, []).append(pos)
+    frees = []
+    dummies = {}  # bundle index -> {name: (lower slot, upper slot)}
+    for name, where in occurrences.items():
+        if len(where) == 1:
+            frees.append(name)
+        elif len(where) == 2:
+            lo, hi = where
+            if slots[lo].variance == slots[hi].variance:
                 raise FrontendError(f"index {name!r} repeated with the same variance")
-            continue
-        raise FrontendError(f"index {name!r} appears {len(vs)} times")
+            if slots[lo].variance == "u":
+                lo, hi = hi, lo
+            dummies.setdefault(registry.bundle_index(name), {})[name] = (lo, hi)
+        else:
+            raise FrontendError(f"index {name!r} appears {len(where)} times")
+
+    labels = [0] * len(slots)
+    classes = []
+    label_info = [None]  # 1-based
+
+    def assign(pos, info):
+        labels[pos] = len(label_info)
+        label_info.append(info)
+
+    frees.sort()
+    if frees:
+        classes.append(IndexClass("free", len(frees)))
+    for name in frees:
+        assign(occurrences[name][0], ("free", name, bundles[registry.bundle_index(name)].metric))
+    for (bi, _num, text), where in sorted(components.items()):
+        classes.append(IndexClass("component", len(where)))
+        for pos in where:
+            assign(pos, ("component", text, bundles[bi].name))
+    dummy_names = {}
+    for bi in sorted(dummies):
+        bundle = bundles[bi]
+        names = sorted(dummies[bi])
+        dummy_names[bundle.name] = names
+        classes.append(IndexClass("dummy", len(names), metric=bundle.metric))
+        for k, name in enumerate(names):
+            lo, hi = dummies[bi][name]
+            assign(lo, ("dummy", bundle.name, k, "lower", bundle.metric))
+            assign(hi, ("dummy", bundle.name, k, "upper", bundle.metric))
+    return TensorMonomial(factors, tuple(labels), classes, label_info, dummy_names)
 
 
 @dataclass
@@ -290,7 +346,9 @@ class CanonProblem:
     ctx: object  # LabelContext
     subsets: object  # SymmetricSubsets
     classes: list  # IndexClass list in <-order
-    label_info: list  # per label 1..n: ("free", name) | ("component", numeral, bundle) | ("dummy", bundle, pair_index, leg)
+    # per label 1..n: ("free", name, metric) | ("component", numeral, bundle)
+    # | ("dummy", bundle, pair index, "lower" | "upper", metric)
+    label_info: list
     dummy_names: dict  # bundle name -> sorted original dummy names
 
     def label_bsgs(self):
@@ -300,108 +358,30 @@ class CanonProblem:
         return canonicalize(self.g_init, self.S, self.ctx, self.subsets, trace=trace, deadline=deadline)
 
 
-def _classify(monomial, registry):
-    """Assign labels 1..n to slots; return classes and bookkeeping."""
-    slots = monomial.slots
-    frees = []
-    components = {}  # (bundle index, numeral) -> count
-    dummies = {}  # bundle index -> {name: [(slot, variance), ...]}
-    occurrences = {}
-    for idx, tok in enumerate(slots):
-        if tok.is_component:
-            b = registry.bundle_of(tok.name)
-            bi = _bundle_index(registry, b)
-            components[(bi, int(tok.name), tok.name)] = components.get((bi, int(tok.name), tok.name), 0) + 1
-        else:
-            occurrences.setdefault(tok.name, []).append((idx, tok.variance))
-    for name, occ in occurrences.items():
-        if len(occ) == 1:
-            frees.append(name)
-        else:
-            b = registry.bundle_of(name)
-            bi = _bundle_index(registry, b)
-            dummies.setdefault(bi, {})[name] = occ
-
-    classes = []
-    label_info = [None]  # 1-based
-    label_of = {}  # slot index -> label
-
-    frees.sort()
-    if frees:
-        classes.append(IndexClass("free", len(frees)))
-    free_label = {}
-    for name in frees:
-        label_info.append(("free", name))
-        free_label[name] = len(label_info) - 1
-
-    comp_label = {}  # (bi, numeral text) -> list of labels remaining
-    for (bi, num, text), count in sorted(components.items()):
-        classes.append(IndexClass("component", count))
-        labels = []
-        bname = registry.bundles[bi].name if bi < len(registry.bundles) else ""
-        for _ in range(count):
-            label_info.append(("component", text, bname))
-            labels.append(len(label_info) - 1)
-        comp_label[(bi, text)] = labels
-
-    dummy_names = {}
-    pair_label = {}  # (bi, name) -> (lower label, upper label)
-    for bi in sorted(dummies):
-        bundle = registry.bundles[bi] if bi < len(registry.bundles) else _DEFAULT_BUNDLE
-        names = sorted(dummies[bi])
-        dummy_names[bundle.name] = names
-        classes.append(IndexClass("dummy", len(names), metric=bundle.metric))
-        for k, name in enumerate(names):
-            lo = len(label_info)
-            label_info.append(("dummy", bundle.name, k, "lower"))
-            label_info.append(("dummy", bundle.name, k, "upper"))
-            pair_label[(bi, name)] = (lo, lo + 1)
-
-    # slot -> label
-    comp_used = {k: 0 for k in comp_label}
-    for idx, tok in enumerate(slots):
-        if tok.is_component:
-            b = registry.bundle_of(tok.name)
-            bi = _bundle_index(registry, b)
-            key = (bi, tok.name)
-            label_of[idx] = comp_label[key][comp_used[key]]
-            comp_used[key] += 1
-        elif tok.name in free_label:
-            label_of[idx] = free_label[tok.name]
-        else:
-            b = registry.bundle_of(tok.name)
-            bi = _bundle_index(registry, b)
-            lo, hi = pair_label[(bi, tok.name)]
-            # the lower-variance occurrence takes the lower label
-            label_of[idx] = lo if tok.variance == "d" else hi
-    n = len(slots)
-    return n, classes, label_info, label_of, dummy_names
-
-
-def _bundle_index(registry, bundle):
-    for i, b in enumerate(registry.bundles):
-        if b is bundle:
-            return i
-    # the implicit default bundle sorts after all declared ones
-    return len(registry.bundles)
-
-
 def build_problem(monomial, registry):
     """Translate a parsed monomial into a canonicalization problem.
 
-    The slot group and its symmetric subsets are assembled from each
-    factor's cached chain (:meth:`TensorDecl.chain`), shifted to the
-    factor's slots; nothing is recomputed for a declaration seen before.
+    The labels are the ones :func:`parse` assigned.  The slot group and
+    its symmetric subsets are assembled from each factor's cached chain
+    (:meth:`TensorDecl.chain`), shifted to the factor's slots; nothing is
+    recomputed for a declaration seen before.
     """
-    n, classes, label_info, label_of, dummy_names = _classify(monomial, registry)
-    g_init = SignedPermutation(
-        tuple(label_of[idx] for idx in range(n)) + (n + 1, n + 2)
-    )
+    n = len(monomial.labels)
+    g_init = SignedPermutation(monomial.labels + (n + 1, n + 2))
     chains, local_subsets = zip(*(registry.tensors[f.tensor].chain() for f in monomial.factors))
     S = direct_product(chains)
-    ctx = build_context(classes)
+    ctx = build_context(monomial.classes)
     subsets = product_subsets(local_subsets)
-    return CanonProblem(n, g_init, S, ctx, subsets, classes, label_info, dummy_names)
+    return CanonProblem(n, g_init, S, ctx, subsets, monomial.classes, monomial.label_info, monomial.dummy_names)
+
+
+def factor_text(name, tokens):
+    """``name`` followed by one ``_{...}`` (``"d"``) or ``^{...}`` (``"u"``)
+    group per run of equal variance in ``tokens``, (text, variance) pairs."""
+    return name + "".join(
+        ("_{" if var == "d" else "^{") + " ".join(text for text, _ in run) + "}"
+        for var, run in groupby(tokens, key=itemgetter(1))
+    )
 
 
 def render(result, monomial, registry):
@@ -414,9 +394,9 @@ def render(result, monomial, registry):
     written variance is normalized to lower-then-upper (the metric
     raises one leg), so every pair prints one lower and one upper leg.
     An index of a ``metric=none`` bundle cannot be raised or lowered, so
-    it prints with its own variance wherever it lands: a dummy leg by
-    its leg, a free index as written.  The output re-parses to an
-    equivalent monomial.
+    each of its labels prints with the variance it was written with,
+    wherever it lands.  The output re-parses to an equivalent monomial.
+    ``registry`` is not consulted: the monomial carries its labelling.
     """
     if isinstance(result, CanonResult):
         if result.is_zero:
@@ -424,49 +404,28 @@ def render(result, monomial, registry):
         g = result.g
     else:
         g = result
-    n, classes, label_info, _label_of, dummy_names = _classify(monomial, registry)
-    metric_of = {b.name: b.metric for b in registry.bundles}
-    metric_of.setdefault(_DEFAULT_BUNDLE.name, _DEFAULT_BUNDLE.metric)
+    slots = monomial.slots
+    variances = [tok.variance for tok in slots]  # display-slot order
+    written = [None] * (len(slots) + 1)  # label -> variance it was written with
+    for label, tok in zip(monomial.labels, slots):
+        written[label] = tok.variance
     texts = []
-    variances = [tok.variance for tok in monomial.slots]  # display-slot order
-    written = {tok.name: tok.variance for tok in monomial.slots}
     pair_slots = {}  # (bundle, pair index) -> display slot positions
-    for slot in range(1, n + 1):
-        info = label_info[g[slot]]
-        if info[0] == "free":
-            texts.append(info[1])
-            if registry.bundle_of(info[1]).metric == "none":
-                variances[slot - 1] = written[info[1]]
-        elif info[0] == "component":
-            texts.append(info[1])
-        else:
-            _, bname, k, leg = info
-            texts.append(dummy_names[bname][k])
-            if metric_of.get(bname) == "none":
-                variances[slot - 1] = "d" if leg == "lower" else "u"
-            else:
-                pair_slots.setdefault((bname, k), []).append(slot)
-    for (bname, k), slots in pair_slots.items():
-        i1, i2 = sorted(slots)
+    for slot in range(1, len(slots) + 1):
+        info = monomial.label_info[g[slot]]
+        kind = info[0]
+        texts.append(monomial.dummy_names[info[1]][info[2]] if kind == "dummy" else info[1])
+        if kind != "component" and info[-1] == "none":
+            variances[slot - 1] = written[g[slot]]
+        elif kind == "dummy":
+            pair_slots.setdefault(info[1:3], []).append(slot)
+    for i1, i2 in pair_slots.values():
         if variances[i1 - 1] == variances[i2 - 1]:
             variances[i1 - 1], variances[i2 - 1] = "d", "u"
     parts = []
     pos = 0
     for f in monomial.factors:
-        decl = registry.tensors[f.tensor]
-        piece = f.tensor
-        run_var = None
-        run = []
-        for var, name in zip(variances[pos : pos + decl.rank], texts[pos : pos + decl.rank]):
-            if var != run_var:
-                if run:
-                    piece += ("_{" if run_var == "d" else "^{") + " ".join(run) + "}"
-                run_var = var
-                run = []
-            run.append(name)
-        if run:
-            piece += ("_{" if run_var == "d" else "^{") + " ".join(run) + "}"
-        parts.append(piece)
-        pos += decl.rank
-    text = " ".join(parts)
-    return ("-" if g.sign < 0 else "") + text
+        end = pos + len(f.indices)
+        parts.append(factor_text(f.tensor, zip(texts[pos:end], variances[pos:end])))
+        pos = end
+    return ("-" if g.sign < 0 else "") + " ".join(parts)

@@ -120,10 +120,6 @@ def build(classes):
     return LabelContext(values, groups)
 
 
-def least_label_reachable(ctx, label):
-    return ctx.values[label]
-
-
 def partner_of(ctx, label):
     """The other leg of ``label``'s dummy pair.
 

@@ -114,14 +114,6 @@ class Bsgs:
             h = compose(inverse(tree.rep(t)), h)
         return h.is_identity()
 
-    def dump(self):
-        lines = []
-        for i in range(1, self.degree + 1):
-            gens = ",".join(str(g) for g in self._level_gens[i]) or "-"
-            lines.append(f"level {i}: orbit={self._trees[i].orbit} gens={gens}")
-        lines.append(f"order={self.group_order}")
-        return "\n".join(lines)
-
 
 def _first_moved(g):
     for i, img in enumerate(g.images):

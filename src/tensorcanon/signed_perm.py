@@ -115,27 +115,9 @@ def inverse(p):
     return SignedPermutation(imgs)
 
 
-def apply(p, point):
-    """Image of 1-based ``point`` under p."""
-    return p.images[point - 1]
-
-
 def preimage(p, point):
     """The point mapped to ``point`` by p (i.e. inverse image)."""
     return p.images.index(point) + 1
-
-
-def sign_of(p):
-    return p.sign
-
-
-def lex_compare(a, b):
-    """-1, 0 or +1 comparing the image arrays lexicographically."""
-    if a.images < b.images:
-        return -1
-    if a.images > b.images:
-        return 1
-    return 0
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -20,7 +20,7 @@ from tensorcanon.bench import (
     run_bench,
     run_case,
 )
-from tensorcanon.canon_baseline import butler_portugal, intermediate_config_trace
+from tensorcanon.canon_baseline import butler_portugal
 from tensorcanon.canon_fast import EngineTimeout
 from tensorcanon.frontend import Registry, parse, build_problem, render
 from tensorcanon.label_context import GroupCode, IndexClass, build, update_context
@@ -198,7 +198,9 @@ def test_baseline_factorial_blowup_goldens():
         "tensor T rank=6 sym=1..6\ntensor S rank=6 sym=1..6",
         "T_{b d c f a e} S^{e b f d a c}",
     )
-    result, counts = intermediate_config_trace(prob.g_init, prob.S, prob.label_bsgs())
+    trace = {}
+    result = butler_portugal(prob.g_init, prob.S, prob.label_bsgs(), trace=trace)
+    counts = trace["configs_per_slot"]
     assert max(counts) == 720
     assert 1 + sum(counts[:6]) == 1957
     assert result.g == parse_array("<1,3,5,7,9,11,2,4,6,8,10,12>", 12)

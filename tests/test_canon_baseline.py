@@ -1,6 +1,6 @@
 import pytest
 
-from tensorcanon.canon_baseline import LabelBsgs, butler_portugal, intermediate_config_trace
+from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
 from tensorcanon.canon_fast import EngineTimeout
 from tensorcanon.frontend import Registry, parse, build_problem, render
 from tensorcanon.label_context import IndexClass
@@ -23,7 +23,9 @@ def test_frustrated_contraction_counts():
         "tensor T rank=6 sym=1..6\ntensor S rank=6 sym=1..6",
         "T_{b d c f a e} S^{e b f d a c}",
     )
-    result, counts = intermediate_config_trace(prob.g_init, prob.S, prob.label_bsgs())
+    trace = {}
+    result = butler_portugal(prob.g_init, prob.S, prob.label_bsgs(), trace=trace)
+    counts = trace["configs_per_slot"]
     assert counts[:6] == [6, 30, 120, 360, 720, 720]
     assert max(counts) == 720
     # total configurations examined through slot 6, counting the root

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from tensorcanon.bench import FAMILIES, generate
 from tensorcanon.frontend import (
     FrontendError,
     Registry,
     parse,
     build_problem,
+    factor_text,
     render,
 )
 from tensorcanon.label_context import GroupCode
@@ -120,6 +122,49 @@ def test_bundle_prefix_matching():
     assert reg.bundle_of("mu3").name == "mu"  # longest prefix wins
     assert reg.bundle_of("m1").name == "m"
     assert reg.bundle_of("x").name == ""  # implicit default bundle
+
+
+@pytest.mark.parametrize("first, second, expected", [
+    ("symmetric", "none", "S_{a1}^{a2} S^{a1}_{a2}"),
+    ("none", "symmetric", "S_{a1 a2} S^{a1 a2}"),
+])
+def test_redeclared_bundle_replaces_the_first(first, second, expected):
+    reg = Registry()
+    reg.declare_all(f"bundle a metric={first}\nbundle z metric=none\nbundle a metric={second}\ntensor S rank=2 sym=1..2")
+    # replaced in place: "a" keeps its position ahead of "z" in label order
+    assert reg.bundle_index("a1") == 0 and reg.bundle_of("a1").metric == second
+    mono = parse("S_{a1}^{a2} S_{a2}^{a1}", reg)
+    prob = build_problem(mono, reg)
+    assert prob.classes[0].metric == second
+    assert render(prob.canonicalize(), mono, reg) == expected
+
+
+def test_labels_are_fixed_at_parse():
+    reg = Registry()
+    reg.declare("tensor S rank=2 sym=1..2")
+    mono = parse("S_{a1}^{a2} S_{a2}^{a1}", reg)
+    reg.declare("bundle a metric=none")
+    assert build_problem(mono, reg).classes[0].metric == "symmetric"
+
+
+def test_factor_text_groups_variance_runs():
+    assert factor_text("T", [("a", "d"), ("b", "d"), ("c", "u"), ("1", "d")]) == "T_{a b}^{c}_{1}"
+
+
+def test_render_of_g_init_reprints_the_expression():
+    # g_init gives each slot its own label, so it renders as the input;
+    # the bench generator prints its expressions with factor_text too
+    for family in FAMILIES:
+        for size in (2, 3, 4):
+            for trial in range(3):
+                case = generate(family, size, trial)
+                got = render(case.problem.g_init, case.monomial, case.registry)
+                assert got == case.expression, (family, size, trial)
+    reg = Registry()
+    reg.declare_all("bundle a metric=none\nbundle m metric=antisymmetric\ntensor T rank=5\ntensor U rank=3")
+    expr = "T_{b a1 1}^{m1 a2} U^{1}_{m1}^{a1}"
+    mono = parse(expr, reg)
+    assert render(build_problem(mono, reg).g_init, mono, reg) == expr
 
 
 def test_worked_example_roundtrip():
