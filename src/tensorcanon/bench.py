@@ -29,15 +29,17 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import random
+import signal
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .canon_baseline import butler_portugal
-from .canon_fast import EngineTimeout
 from .frontend import Registry, parse, build_problem, render, factor_text
 from .oracle import enumerate_group, enumerate_label_group, brute_force_canonicalize
 
@@ -156,28 +158,47 @@ def generate(family, size, trial=0):
     return BenchCase(family, size, trial, seed, expr, decls, registry, monomial, problem)
 
 
-def run_case(case, engine, time_budget=None):
-    """Time one engine on one case; returns a CSV row dict.
+@contextmanager
+def budget(seconds):
+    """Raise :class:`TimeoutError` in the body after ``seconds`` of wall time
+    (``SIGALRM``, Unix); ``None`` sets no timer, a budget <= 0 raises at once."""
+    if seconds is None:
+        yield
+        return
+    if seconds <= 0:
+        raise TimeoutError(f"time budget {seconds}s is spent")
 
-    With a ``time_budget`` (seconds) the engine aborts once the budget
-    is exhausted, raising :class:`EngineTimeout`.
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds}s time budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+
+
+def run_case(case, engine, time_budget=None):
+    """Time one engine on one case; returns (CSV row dict, result).
+
+    The engine runs inside ``budget(time_budget)``; ``elapsed_us`` times it alone.
     """
     problem = case.problem
     trace = {}
-    if engine == "fast":
-        t0 = time.perf_counter()
-        deadline = None if time_budget is None else time.monotonic() + time_budget
-        result = problem.canonicalize(trace=trace, deadline=deadline)
-        elapsed = time.perf_counter() - t0
-    elif engine == "baseline":
-        L = problem.label_bsgs()
-        t0 = time.perf_counter()
-        deadline = None if time_budget is None else time.monotonic() + time_budget
-        result = butler_portugal(problem.g_init, problem.S, L, trace=trace, deadline=deadline)
-        elapsed = time.perf_counter() - t0
-    else:
+    if engine not in ("fast", "baseline"):
         raise ValueError(f"unknown engine {engine!r}")
-    digest = result_digest(result, case)
+    L = problem.label_bsgs() if engine == "baseline" else None
+    with budget(time_budget):
+        t0 = time.perf_counter()
+        if L is None:
+            result = problem.canonicalize(trace=trace)
+        else:
+            result = butler_portugal(problem.g_init, problem.S, L, trace=trace)
+        elapsed = time.perf_counter() - t0
     return {
         "family": case.family,
         "n": case.problem.n,
@@ -185,7 +206,7 @@ def run_case(case, engine, time_budget=None):
         "seed": case.seed,
         "engine": engine,
         "is_zero": int(result.is_zero),
-        "result_digest": digest,
+        "result_digest": result_digest(result, case),
         "elapsed_us": int(elapsed * 1e6),
         "max_configs": trace.get("max_configs", 1),
     }, result
@@ -215,50 +236,49 @@ def fit_exponent(sizes, times):
         return float("nan")
     xs = np.log([p[0] for p in half])
     ys = np.log([max(p[1], 1e-9) for p in half])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def run_bench(families, sizes, trials, engines, out, time_budget=10.0, verbose=True):
     """Run the benchmark grid and write CSV rows to the stream ``out``.
 
-    An engine that exceeds ``time_budget`` seconds on any trial of a
-    size is aborted mid-run and skipped for all larger sizes of that
-    family.  Returns the fitted per-(family, engine) scaling exponents.
+    ``time_budget`` seconds (None: no limit) bound each size's set-up,
+    all trials' :func:`generate` together, and each engine run.  An
+    engine that overruns on a size is aborted and skipped for larger
+    sizes of that family; a set-up overrun, or no engine left, ends the
+    family.  Returns the finite fitted (family, engine) engine-time
+    scaling exponents.
     """
     out.write("# tensor-monomial canonicalization benchmark\n")
     out.write("# prng: python random.Random (Mersenne Twister), seed = sha256(family/size/trial)[:4]\n")
     out.write("# riemann contraction: uniform random perfect matching over all slots, leg orientation uniform per pair\n")
     writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
     writer.writeheader()
-    skipped = set()  # (family, engine)
-    series = {}  # (family, engine) -> (sizes, times)
+    series = {}  # (family, engine) -> {size: worst engine seconds}
     for family in families:
+        live = list(engines)
         for size in sizes:
-            cases = [generate(family, size, t) for t in range(trials)]
-            for engine in engines:
-                if (family, engine) in skipped:
-                    continue
+            if not live:
+                break
+            try:
+                with budget(time_budget):
+                    cases = [generate(family, size, t) for t in range(trials)]
+            except TimeoutError:
+                if verbose:
+                    print(f"# {family}: set-up over {time_budget:.1f}s at size {size}, skipping larger sizes", file=sys.stderr)
+                break
+            for engine in list(live):
                 worst = 0.0
-                timed_out = False
-                for case in cases:
-                    try:
+                try:
+                    for case in cases:
                         row, _ = run_case(case, engine, time_budget=time_budget)
-                    except EngineTimeout:
-                        timed_out = True
-                        break
-                    writer.writerow(row)
-                    worst = max(worst, row["elapsed_us"] / 1e6)
-                if not timed_out:
-                    sizes_l, times_l = series.setdefault((family, engine), ([], []))
-                    sizes_l.append(size)
-                    times_l.append(worst)
-                if timed_out or worst > time_budget:
-                    skipped.add((family, engine))
+                        writer.writerow(row)
+                        worst = max(worst, row["elapsed_us"] / 1e6)
+                except TimeoutError:
+                    live.remove(engine)
                     if verbose:
                         print(f"# {family}/{engine}: over {time_budget:.1f}s at size {size}, skipping larger sizes", file=sys.stderr)
-    exponents = {}
-    for key, (ss, ts) in series.items():
-        if len(ss) >= 2:
-            exponents[key] = fit_exponent(ss, ts)
-    return exponents
+                    continue
+                series.setdefault((family, engine), {})[size] = worst
+    exponents = {key: fit_exponent(list(w), list(w.values())) for key, w in series.items()}
+    return {key: e for key, e in exponents.items() if math.isfinite(e)}

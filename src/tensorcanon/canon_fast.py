@@ -16,14 +16,8 @@ exchanges, which both prune and detect vanishing configurations early.
 
 from __future__ import annotations
 
-import time
-
 from .label_context import GroupCode, update_context, label_permutation_from_group, partner_of
 from .signed_perm import identity, from_signed_cycles, compose, preimage
-
-
-class EngineTimeout(Exception):
-    """Raised when an engine run exceeds its deadline."""
 
 
 class CanonResult:
@@ -226,7 +220,7 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     return out
 
 
-def canonicalize(g_init, S, ctx, subsets, trace=None, deadline=None):
+def canonicalize(g_init, S, ctx, subsets, trace=None):
     """Canonicalize the configuration ``g_init``.
 
     ``S`` is the slot symmetry :class:`~tensorcanon.perm_group.Bsgs`,
@@ -235,9 +229,7 @@ def canonicalize(g_init, S, ctx, subsets, trace=None, deadline=None):
     given, is a dict that receives ``configs_per_slot`` (configuration
     counts after each slot pass), ``max_configs`` and ``prop_updates``
     (before/after snapshots of the propagation array, with the slot
-    action and supplied label values of each update).  ``deadline`` is
-    an absolute ``time.monotonic()`` instant after which the run aborts
-    with :class:`EngineTimeout`.
+    action and supplied label values of each update).
     """
     n = ctx.n
 
@@ -260,14 +252,10 @@ def canonicalize(g_init, S, ctx, subsets, trace=None, deadline=None):
     configs = [(g_init, identity(n))]
     counts = []
     for i in range(1, n + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise EngineTimeout(f"fast engine exceeded deadline at slot {i} with {len(configs)} configs")
         orbit = S.orbit_of(i)
         least_value, instances = get_least_value_instances(i, orbit, configs, ctx, prop)
         out = []
-        for ci, ((g, s), inst) in enumerate(zip(configs, instances)):
-            if deadline is not None and ci % 4096 == 4095 and time.monotonic() > deadline:
-                raise EngineTimeout(f"fast engine exceeded deadline at slot {i} with {len(configs)} configs")
+        for (g, s), inst in zip(configs, instances):
             if not inst:
                 continue
             prev = prop

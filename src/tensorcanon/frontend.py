@@ -29,8 +29,8 @@ once upper (dummy).
 Label order
 -----------
 
-:func:`parse` assigns labels 1..n to the slots once, and the
-monomial keeps them; a bundle declared later does not relabel it.
+:func:`parse` assigns labels 1..n to the slots once and binds each
+factor to its tensor's declaration; a later declaration changes neither.
 Labels go to index classes in <-order: free names alphabetically, then
 component classes grouped by bundle and numeral, then one dummy class
 per bundle in declaration order, the implicit bundle last (pairs
@@ -223,6 +223,7 @@ class IndexToken:
 class Factor:
     tensor: str
     indices: list  # of IndexToken
+    decl: TensorDecl  # the declaration in force at parse
 
 
 @dataclass
@@ -273,7 +274,7 @@ def parse(text, registry):
             raise FrontendError(
                 f"tensor {name} has rank {decl.rank} but {len(indices)} indices given"
             )
-        factors.append(Factor(name, indices))
+        factors.append(Factor(name, indices, decl))
     if not factors:
         raise FrontendError("empty expression")
     return _label(factors, registry)
@@ -354,8 +355,8 @@ class CanonProblem:
     def label_bsgs(self):
         return LabelBsgs.from_classes(self.classes)
 
-    def canonicalize(self, trace=None, deadline=None):
-        return canonicalize(self.g_init, self.S, self.ctx, self.subsets, trace=trace, deadline=deadline)
+    def canonicalize(self, trace=None):
+        return canonicalize(self.g_init, self.S, self.ctx, self.subsets, trace=trace)
 
 
 def build_problem(monomial, registry):
@@ -364,11 +365,12 @@ def build_problem(monomial, registry):
     The labels are the ones :func:`parse` assigned.  The slot group and
     its symmetric subsets are assembled from each factor's cached chain
     (:meth:`TensorDecl.chain`), shifted to the factor's slots; nothing is
-    recomputed for a declaration seen before.
+    recomputed for a declaration seen before.  ``registry`` is not
+    consulted: each factor keeps the declaration :func:`parse` bound.
     """
     n = len(monomial.labels)
     g_init = SignedPermutation(monomial.labels + (n + 1, n + 2))
-    chains, local_subsets = zip(*(registry.tensors[f.tensor].chain() for f in monomial.factors))
+    chains, local_subsets = zip(*(f.decl.chain() for f in monomial.factors))
     S = direct_product(chains)
     ctx = build_context(monomial.classes)
     subsets = product_subsets(local_subsets)

@@ -1,11 +1,15 @@
 import csv
 import io
+import signal
+import time
 
 import pytest
 
+from tensorcanon import bench
 from tensorcanon.bench import (
     CSV_COLUMNS,
     FAMILIES,
+    budget,
     fit_exponent,
     generate,
     oracle_result,
@@ -130,3 +134,72 @@ def test_fit_exponent_recovers_power_law():
     times = [s ** 2.5 for s in sizes]
     assert abs(fit_exponent(sizes, times) - 2.5) < 1e-6
     assert fit_exponent([4], [1.0]) != fit_exponent([4], [1.0])  # NaN
+
+
+def test_budget_interrupts_the_body_and_restores_the_handler():
+    before = signal.getsignal(signal.SIGALRM)
+    t0 = time.perf_counter()
+    with pytest.raises(TimeoutError):
+        with budget(0.05):
+            while True:
+                pass
+    assert time.perf_counter() - t0 < 1.0
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    with budget(5.0):  # a body that finishes leaves the timer disarmed
+        pass
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is before
+
+
+def test_budget_none_leaves_signal_state_alone():
+    def mine(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGALRM, mine)
+    try:
+        with budget(None):
+            assert signal.getsignal(signal.SIGALRM) is mine
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("seconds", [0, -1.0])
+def test_spent_budget_raises_before_the_body(seconds):
+    ran = []
+    with pytest.raises(TimeoutError):
+        with budget(seconds):
+            ran.append(1)
+    assert ran == []
+
+
+def test_run_bench_budget_bounds_set_up(capsys):
+    # sym-frees at size 48 spends seconds in Schreier-Sims inside
+    # generate(), milliseconds in the engine
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    run_bench(["sym-frees"], [4, 48], 1, ["fast"], out, time_budget=0.5)
+    assert time.perf_counter() - t0 < 3.0
+    rows = list(csv.DictReader(l for l in out.getvalue().splitlines() if not l.startswith("#")))
+    assert [r["n"] for r in rows] == ["4"]
+    assert "# sym-frees: set-up over 0.5s at size 48" in capsys.readouterr().err
+
+
+def test_run_bench_stops_generating_once_every_engine_is_skipped(monkeypatch):
+    generated = []
+
+    def recording_generate(family, size, trial=0):
+        generated.append(size)
+        return generate(family, size, trial)
+
+    monkeypatch.setattr(bench, "generate", recording_generate)
+    out = io.StringIO()
+    run_bench(["totalsym-frustrated"], [6, 10, 40], 1, ["baseline"], out, time_budget=1.0, verbose=False)
+    assert generated == [6, 10]
+
+
+def test_run_bench_reports_only_finite_fits():
+    # with two sizes the largest half is one point: no slope to fit
+    exponents = run_bench(["sym-frees", "riemann"], [2, 3], 1, ["fast"], io.StringIO(), verbose=False)
+    assert exponents == {}

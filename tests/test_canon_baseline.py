@@ -1,7 +1,9 @@
+import traceback
+
 import pytest
 
+from tensorcanon.bench import budget
 from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
-from tensorcanon.canon_fast import EngineTimeout
 from tensorcanon.frontend import Registry, parse, build_problem, render
 from tensorcanon.label_context import IndexClass
 from tensorcanon.signed_perm import compose, from_signed_cycles, parse_array
@@ -132,5 +134,21 @@ def test_deadline_aborts():
         "tensor T rank=7 sym=1..7\ntensor S rank=7 sym=1..7",
         "T_{b d c f a e g} S^{e b f d g a c}",
     )
-    with pytest.raises(EngineTimeout):
-        butler_portugal(prob.g_init, prob.S, prob.label_bsgs(), deadline=0.0)
+    # up to 7! configurations per slot, a quarter of a second of search:
+    # a 10-ms budget stops it inside the engine
+    trace = {}
+    with pytest.raises(TimeoutError) as info:
+        with budget(0.01):
+            butler_portugal(prob.g_init, prob.S, prob.label_bsgs(), trace=trace)
+    assert "butler_portugal" in [f.name for f in traceback.extract_tb(info.tb)]
+    assert trace == {}  # the run never reached its end
+
+
+def test_minus_one_in_the_slot_group_vanishes():
+    # -(1,2,3) cubed is -1: every slot arrangement equals its own negative
+    _, _, prob = make_problem('tensor V rank=3 gens="-(1,2,3)"', "V_{a b c}")
+    assert prob.subsets.inconsistent
+    trace = {}
+    assert butler_portugal(prob.g_init, prob.S, prob.label_bsgs(), trace=trace).is_zero
+    assert trace["configs_per_slot"] == []
+    assert prob.canonicalize().is_zero

@@ -1,10 +1,11 @@
 import random
+import traceback
 
 import pytest
 
+from tensorcanon.bench import budget, generate
 from tensorcanon.canon_baseline import butler_portugal
 from tensorcanon.canon_fast import (
-    EngineTimeout,
     canonicalize,
     update_propagated_symmetries,
     zero_due_to_propagated_symmetries,
@@ -178,12 +179,17 @@ def test_plus_minus_collision_zero():
 
 
 def test_deadline_aborts():
-    _, _, prob = make_problem(
-        "tensor T rank=6 sym=1..6\ntensor S rank=6 sym=1..6",
-        "T_{b d c f a e} S^{e b f d a c}",
-    )
-    with pytest.raises(EngineTimeout):
-        prob.canonicalize(deadline=0.0)
+    # twelve contracted Riemann factors: about 1024 configurations and
+    # most of a second of search, so a 20-ms budget stops it mid-run
+    prob = generate("riemann", 12, 0).problem
+    trace = {}
+    with pytest.raises(TimeoutError) as info:
+        with budget(0.02):
+            prob.canonicalize(trace=trace)
+    frames = [(f.name, f.filename) for f in traceback.extract_tb(info.tb)]
+    assert any(name == "canonicalize" and file.endswith("canon_fast.py") for name, file in frames)
+    assert trace.get("prop_updates")  # the search had started
+    assert "configs_per_slot" not in trace  # and had not finished
 
 
 def test_matches_baseline_on_random_riemann_products():

@@ -344,3 +344,14 @@ def test_redeclared_tensor_gets_a_fresh_chain():
     reg.declare("tensor T rank=2 asym=1..2")
     mono = parse("T_{b a}", reg)
     assert render(build_problem(mono, reg).canonicalize(), mono, reg) == "-T_{a b}"
+
+
+@pytest.mark.parametrize("redeclared", ["tensor T rank=3 asym=1..3", "tensor T rank=2 asym=1..2"])
+def test_monomial_keeps_the_tensor_declaration_it_was_parsed_with(redeclared):
+    reg = Registry()
+    reg.declare("tensor T rank=2 sym=1..2")
+    mono = parse("T_{b a}", reg)
+    reg.declare(redeclared)
+    prob = build_problem(mono, reg)
+    assert prob.S.n == 2
+    assert render(prob.canonicalize(), mono, reg) == "T_{a b}"
