@@ -16,6 +16,8 @@ exchanges, which both prune and detect vanishing configurations early.
 
 from __future__ import annotations
 
+import itertools
+
 from .label_context import GroupCode, update_context, label_permutation_from_group, partner_of
 from .signed_perm import identity, from_signed_cycles, compose, preimage
 
@@ -54,7 +56,8 @@ def _sign(x):
     return 1 if x > 0 else -1 if x < 0 else 0
 
 
-_DUMMY_CODES = (GroupCode.S_DUMMY, GroupCode.A_DUMMY, GroupCode.L_DUMMY, GroupCode.U_DUMMY)
+_NONE, _COMPONENT, _S_DUMMY, _A_DUMMY = GroupCode.NONE, GroupCode.COMPONENT, GroupCode.S_DUMMY, GroupCode.A_DUMMY
+_DUMMY_CODES = (_S_DUMMY, _A_DUMMY, GroupCode.L_DUMMY, GroupCode.U_DUMMY)
 
 
 def get_least_value_instances(i, orbit, configs, ctx, prop):
@@ -68,17 +71,19 @@ def get_least_value_instances(i, orbit, configs, ctx, prop):
     holding a cheaper label may supply it instead.
     """
     n = ctx.n
+    values = ctx.values
     least_value = n
     instances = [[] for _ in configs]
     for k, (g, s) in enumerate(configs):
+        gi, si = g.images, s.images
         for p in orbit:
             q = p
-            entry = prop[s[p]]
+            entry = prop[si[p - 1]]
             if entry != 0 and entry % 2 == 0:
                 for cand in range(i, n + 1):
-                    if prop[s[cand]] == entry and ctx.values[g[cand]] < ctx.values[g[q]]:
+                    if prop[si[cand - 1]] == entry and values[gi[cand - 1]] < values[gi[q - 1]]:
                         q = cand
-            value = ctx.values[g[q]]
+            value = values[gi[q - 1]]
             if value < least_value:
                 least_value = value
                 for lst in instances:
@@ -96,15 +101,24 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
     get matching odd entries (one shared odd number per subset); each
     dummy leg hands its partner the adjacent even entry.  Entries
     occurring exactly once carry no exchange information and are removed
-    before returning.
+    before returning; ``prop`` itself is expected to hold none, as every
+    array this function returns does.
+
+    When no instance can add an entry (each supplied label is consumed,
+    outside a subset, or already propagated) the result is ``prop``
+    itself, so callers must not mutate it.
     """
-    new = list(prop)
+    gi, si, groups = g.images, s.images, ctx.groups
+    new = None
     memo = {}
     for p, q in instances:
-        label = g[q]
-        if ctx.groups[label] == GroupCode.NONE or subsets[q] == 0 or prop[s[q]] != 0:
+        label = gi[q - 1]
+        sq = si[q - 1]
+        if groups[label] == _NONE or subsets[q] == 0 or prop[sq] != 0:
             continue
-        cur = new[s[q]]
+        if new is None:
+            new = list(prop)
+        cur = new[sq]
         if subsets[q] in memo:
             entry = memo[subsets[q]]
         elif cur != 0:
@@ -116,15 +130,15 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
             memo[subsets[q]] = entry
         if cur != 0 and abs(cur) <= abs(entry):
             continue
-        new[s[q]] = entry
-        if ctx.groups[label] in _DUMMY_CODES:
+        new[sq] = entry
+        if groups[label] in _DUMMY_CODES:
             partner = partner_of(ctx, label)
             pslot = preimage(g, partner)
             pentry = _sign(entry) * (abs(entry) + 1)
             tgt = s[pslot]
             if new[tgt] == 0 or abs(pentry) < abs(new[tgt]):
                 new[tgt] = pentry
-    return _remove_singletons(new)
+    return prop if new is None else _remove_singletons(new)
 
 
 def _remove_singletons(prop):
@@ -144,42 +158,43 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
     with the family's (the same label exchange then carries both signs);
     and both legs of one dummy pair in the same exchange family when the
     metric sign and the exchange sign multiply to -1.
+
+    Each rule is tested at a slot holding a label that can still be
+    exchanged (group code other than NONE) in a nonzero family; the
+    dummy-pair rule fires at the later of the two legs, as a scan in
+    slot order would find it.
     """
-    n = ctx.n
-    # subsets hosting at least two slots of the same even family
-    shared = {}
-    for p in range(1, n + 1):
-        sym = prop[s[p]]
-        if sym != 0 and sym % 2 == 0 and subsets[p] != 0:
-            shared[(sym, abs(subsets[p]))] = shared.get((sym, abs(subsets[p])), 0) + 1
-    visited = {}
-    for p in range(1, n + 1):
-        sym = prop[s[p]]
+    gi, si, groups = g.images, s.images, ctx.groups
+    entries = subsets.entries
+    # the propagated family of each slot, slot p at index p-1
+    syms = [prop[x] for x in si[: ctx.n]]
+    for p, (sym, label) in enumerate(zip(syms, gi), 1):
         if sym == 0:
             continue
-        label = g[p]
-        group = ctx.groups[label]
-        if group == GroupCode.COMPONENT and sym < 0:
-            return True
-        if group in _DUMMY_CODES:
-            if (
-                sym % 2 == 0
-                and subsets[p] != 0
-                and _sign(sym) != _sign(subsets[p])
-                and shared.get((sym, abs(subsets[p])), 0) >= 2
-            ):
+        group = groups[label]
+        if group == _NONE:
+            continue
+        if group == _COMPONENT:
+            if sym < 0:
                 return True
-            partner = partner_of(ctx, label)
-            if visited.get(partner) == sym:
-                if group == GroupCode.S_DUMMY and sym < 0:
-                    return True
-                if group == GroupCode.A_DUMMY and sym > 0:
-                    return True
-        visited[label] = sym
+            continue
+        sub = entries[p]
+        if sym % 2 == 0 and sub != 0 and (sym > 0) != (sub > 0):
+            # does the subset host another slot of this even family?
+            a = abs(sub)
+            if sum(1 for y, e in zip(syms, entries[1:]) if y == sym and abs(e) == a) >= 2:
+                return True
+        if not (group == _S_DUMMY and sym < 0 or group == _A_DUMMY and sym > 0):
+            continue
+        # partner_of, inlined for the two metric dummy codes
+        partner = label - 1 if (label - ctx.values[label]) % 2 == 1 else label + 1
+        q = gi.index(partner) + 1
+        if q < p and syms[q - 1] == sym:
+            return True
     return False
 
 
-def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop):
+def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop, lpfgs=None):
     """Extend ``out`` with the slot-i descendants of configuration (g, s).
 
     Instances landing in an already-visited symmetric subset are skipped:
@@ -191,22 +206,31 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     the partners along, and the slot group can only absorb that motion
     inside a single subset.  So the visited key records both the subset
     being filled and the subset holding the supplied label's partner.
+
+    ``lpfgs`` maps a label to its ``label_permutation_from_group(ctx,
+    label, least_value)``; one dict shared by a whole slot pass builds
+    each label's permutation once.
     """
     visited = set()
     n = ctx.n
+    entries = subsets.entries
+    if lpfgs is None:
+        lpfgs = {}
     for p, q in instances:
         label = g[q]
-        if subsets[p] != 0:
+        if entries[p] != 0:
             if ctx.groups[label] in _DUMMY_CODES:
                 pslot = preimage(g, partner_of(ctx, label))
-                far = abs(subsets[pslot])
+                far = abs(entries[pslot])
             else:
                 far = -1
-            key = (abs(subsets[p]), far)
+            key = (abs(entries[p]), far)
             if key in visited:
                 continue
             visited.add(key)
-        lpfg = label_permutation_from_group(ctx, label, least_value)
+        lpfg = lpfgs.get(label)
+        if lpfg is None:
+            lpfg = lpfgs[label] = label_permutation_from_group(ctx, label, least_value)
         if prop[s[q]] != 0 and p != q:
             # q supplies the label through an exchange with slot p; fold
             # the (possibly signed) label swap in before relabelling
@@ -230,6 +254,16 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     counts after each slot pass), ``max_configs`` and ``prop_updates``
     (before/after snapshots of the propagation array, with the slot
     action and supplied label values of each update).
+
+    Work that repeats across configurations is done once: each slot
+    pass builds ``label_permutation_from_group`` once per supplied label
+    (the context and the least value are fixed within a pass); and when
+    ``S`` is a :func:`~tensorcanon.perm_group.direct_product`, as
+    ``build_problem`` makes it, its trees keep every coset
+    representative they hand out, so each ``S.coset_rep(i, p)`` is built
+    once per search.
+    ``prop`` is replaced, never mutated, and an update that adds no entry
+    returns it as it was.
     """
     n = ctx.n
 
@@ -243,18 +277,14 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
         return finish(CanonResult.zero(), [])
     ctx = ctx.copy()
     prop = [0] * (n + 1)
-    counter = {"last": -1}
-
-    def next_odd():
-        counter["last"] += 2
-        return counter["last"]
-
+    next_odd = itertools.count(1, 2).__next__
     configs = [(g_init, identity(n))]
     counts = []
     for i in range(1, n + 1):
         orbit = S.orbit_of(i)
         least_value, instances = get_least_value_instances(i, orbit, configs, ctx, prop)
         out = []
+        lpfgs = {}
         for (g, s), inst in zip(configs, instances):
             if not inst:
                 continue
@@ -266,7 +296,7 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
                 )
             if zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                 return finish(CanonResult.zero(), counts)
-            append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop)
+            append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop, lpfgs)
         ctx = update_context(ctx, least_value)
         out.sort(key=lambda c: (c[0].images, c[1].images))
         configs = []

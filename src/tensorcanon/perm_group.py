@@ -211,17 +211,20 @@ def _shift(g, offset, n):
 class _ShiftedTree:
     """A block's Schreier tree read with its points moved up by ``offset``.
 
-    Coset representatives are the block's own, shifted when asked for,
-    so assembling a product builds nothing per orbit point.
+    Coset representatives are the block's own, shifted the first time
+    each is asked for and kept, so assembling a product builds nothing
+    per orbit point and a search that revisits a point builds its
+    representative once.
     """
 
-    __slots__ = ("_tree", "_offset", "_n", "root")
+    __slots__ = ("_tree", "_offset", "_n", "root", "_reps")
 
     def __init__(self, tree, offset, n):
         self._tree = tree
         self._offset = offset
         self._n = n
         self.root = tree.root + offset
+        self._reps = {}
 
     @property
     def orbit(self):
@@ -234,9 +237,12 @@ class _ShiftedTree:
         return len(self._tree)
 
     def rep(self, target):
-        if target not in self:
-            raise KeyError(f"point {target} not in orbit of {self.root}")
-        return _shift(self._tree.rep(target - self._offset), self._offset, self._n)
+        u = self._reps.get(target)
+        if u is None:
+            if target not in self:
+                raise KeyError(f"point {target} not in orbit of {self.root}")
+            u = self._reps[target] = _shift(self._tree.rep(target - self._offset), self._offset, self._n)
+        return u
 
 
 class _ProductGens:

@@ -104,8 +104,8 @@ def from_signed_cycles(n, sign, cycles):
 
 def compose(a, b):
     """a∘b: apply b first, then a.  ``compose(a, b)[i] == a[b[i]]``."""
-    ai = a.images
-    return SignedPermutation(ai[x - 1] for x in b.images)
+    ai = (0,) + a.images  # 1-padded, so that ai[x] is the image of x
+    return SignedPermutation([ai[x] for x in b.images])
 
 
 def inverse(p):

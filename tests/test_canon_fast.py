@@ -92,6 +92,92 @@ def test_propagation_splits_by_value():
     assert not prob.canonicalize().is_zero
 
 
+def test_update_without_new_entries_returns_prop_unchanged():
+    # T_{11ab}^{bc}, T symmetric on slots 3..6: the components sit
+    # outside the subset, the free c is consumed from the start, and
+    # the b legs are already propagated, so no instance adds an entry
+    _, _, prob = make_problem("tensor T rank=6 sym=3..6", "T_{1 1 a b}^{b c}")
+    n = prob.n
+    g, s = prob.g_init, identity(n)
+    next_odd = odd_counter()
+    prop = update_propagated_symmetries(
+        [(4, 4), (5, 5)], g, s, prob.ctx, prob.subsets, [0] * (n + 1), next_odd
+    )
+    assert prop[1:] == [0, 0, 0, 1, 1, 0]
+    for inst in ([(1, 1), (2, 2)], [(6, 6)], [(4, 4), (5, 5)]):
+        before = list(prop)
+        assert update_propagated_symmetries(inst, g, s, prob.ctx, prob.subsets, prop, next_odd) == before
+        assert prop == before
+    assert next_odd() == 3  # no family was started
+
+
+def _zero_check(prob, entries):
+    # prop indexed by initial slot; with s the identity that is the slot
+    n = prob.n
+    return zero_due_to_propagated_symmetries(
+        prob.g_init, identity(n), prob.ctx, prob.subsets, [0] + entries
+    )
+
+
+def test_zero_rule_component_in_negative_family():
+    _, _, prob = make_problem("tensor T rank=2", "T_{1 1}")
+    assert _zero_check(prob, [-1, -1])
+    assert not _zero_check(prob, [1, 1])
+
+
+def test_zero_rule_even_family_in_opposite_subset():
+    # A's slots form the antisymmetric subset -1; a and b hold labels
+    # 1, 3 there and their partners 2, 4 in B
+    _, _, prob = make_problem("tensor A rank=2 asym=1..2\ntensor B rank=2", "A_{a b} B^{a b}")
+    assert prob.subsets.as_list() == [-1, -1, 0, 0]
+    assert _zero_check(prob, [2, 2, 0, 0])
+    assert not _zero_check(prob, [-2, -2, 0, 0])  # the signs agree
+    assert not _zero_check(prob, [2, 0, 2, 0])  # one leg in the subset
+
+
+def test_zero_rule_pair_sign_under_metric():
+    # both legs of one pair in one family: fatal when the metric sign
+    # times the family sign is -1
+    _, _, sym = make_problem("tensor T rank=2", "T_{a}^{a}")
+    assert _zero_check(sym, [-1, -1])
+    assert not _zero_check(sym, [1, 1])
+    assert not _zero_check(sym, [-1, -3])  # two families
+    _, _, asym = make_problem("bundle v metric=antisymmetric\ntensor T rank=2", "T_{v0}^{v0}")
+    assert _zero_check(asym, [1, 1])
+    assert not _zero_check(asym, [-1, -1])
+
+
+# configuration counts after each slot pass, and their maximum, recorded
+# before the per-configuration work was made cheaper: a change to the
+# search's speed must leave which configurations it visits alone
+SEARCH_GOLDENS = {
+    ("riemann", 6, 0): ([4, 4, 8, 8, 8, 8, 8, 8, 4, 4, 4, 4, 12, 12, 16, 16, 16, 16, 8, 8, 8, 8, 8, 8], 16),
+    ("riemann", 6, 1): ([4, 4, 8, 8, 4, 4, 8, 8, 8, 8] + [16] * 14, 16),
+    ("riemann", 6, 2): ([], 1),
+    ("riemann", 8, 0): (
+        [4, 4, 8, 8, 32, 32, 64, 64, 32, 32, 64, 64, 64, 64] + [128] * 7 + [64] * 11,
+        128,
+    ),
+    ("riemann", 8, 1): ([4, 4, 8, 8, 32, 32, 64, 64, 32, 32, 16, 16, 16, 16] + [32] * 18, 64),
+    ("riemann", 8, 2): ([3, 3, 4, 4, 16, 16, 32, 32, 16, 16, 32, 32, 32, 32, 32, 32] + [16] * 16, 32),
+    ("riemann", 10, 0): ([4, 4, 8, 8, 4, 4, 8, 8, 8, 8, 16, 16, 16, 16] + [32] * 26, 32),
+    ("riemann", 10, 1): (
+        [4, 4, 8, 8, 32, 32, 24, 24, 12, 12, 24, 24, 24, 24, 48, 48, 48, 48, 48, 48, 32, 32]
+        + [64] * 6 + [128] * 5 + [64] * 7,
+        128,
+    ),
+    ("riemann", 10, 2): ([4, 4, 8, 8, 4, 4, 8, 8, 8, 8, 16, 16, 16, 16, 32, 32, 32, 32], 32),
+    ("pairwise-frustrated", 6, 0): ([3, 3, 6, 6, 6, 6, 2, 2, 2, 2, 2, 2], 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_GOLDENS), ids=lambda c: "%s-%d-%d" % c)
+def test_search_configuration_counts(case):
+    trace = {}
+    generate(*case).problem.canonicalize(trace=trace)
+    assert (trace["configs_per_slot"], trace["max_configs"]) == SEARCH_GOLDENS[case]
+
+
 def test_worked_contraction_single_branch():
     # the frustrated totally-symmetric contraction collapses to one
     # configuration per slot
