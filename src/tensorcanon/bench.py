@@ -228,10 +228,20 @@ def oracle_result(case, cap=10**6):
     return brute_force_canonicalize(problem.g_init, S_enum, L_enum)
 
 
+# Engine times below this are mostly interpreter and timer noise: a fit
+# over 50-500 us timings gives exponents that change sign between runs.
+FIT_FLOOR_S = 0.01
+
+
+def _fitted(sizes, times):
+    """The (size, time) points a fit uses: the largest half of the sizes."""
+    pts = sorted(zip(sizes, times))
+    return pts[len(pts) // 2 :]
+
+
 def fit_exponent(sizes, times):
     """Least-squares slope of log(time) vs log(size), largest half of sizes."""
-    pts = sorted(zip(sizes, times))
-    half = pts[len(pts) // 2 :]
+    half = _fitted(sizes, times)
     if len(half) < 2:
         return float("nan")
     xs = np.log([p[0] for p in half])
@@ -247,7 +257,8 @@ def run_bench(families, sizes, trials, engines, out, time_budget=10.0, verbose=T
     engine that overruns on a size is aborted and skipped for larger
     sizes of that family; a set-up overrun, or no engine left, ends the
     family.  Returns the finite fitted (family, engine) engine-time
-    scaling exponents.
+    scaling exponents, each only when every worst time it fits is at
+    least ``FIT_FLOOR_S``.
     """
     out.write("# tensor-monomial canonicalization benchmark\n")
     out.write("# prng: python random.Random (Mersenne Twister), seed = sha256(family/size/trial)[:4]\n")
@@ -280,5 +291,8 @@ def run_bench(families, sizes, trials, engines, out, time_budget=10.0, verbose=T
                         print(f"# {family}/{engine}: over {time_budget:.1f}s at size {size}, skipping larger sizes", file=sys.stderr)
                     continue
                 series.setdefault((family, engine), {})[size] = worst
-    exponents = {key: fit_exponent(list(w), list(w.values())) for key, w in series.items()}
+    exponents = {}
+    for key, worst in series.items():
+        if all(t >= FIT_FLOOR_S for _, t in _fitted(worst, worst.values())):
+            exponents[key] = fit_exponent(list(worst), list(worst.values()))
     return {key: e for key, e in exponents.items() if math.isfinite(e)}

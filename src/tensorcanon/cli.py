@@ -8,8 +8,8 @@ Subcommands::
     tensorcanon oracle-check --families LIST [--max-slots K] [--trials N]
                              [--sizes LIST] [--cap N]
 
-Bad declarations or expressions print one ``error: ...`` line on stderr
-and exit with status 2.
+Bad declarations, expressions or arguments print one ``error: ...``
+line on stderr and exit with status 2.
 """
 
 from __future__ import annotations
@@ -47,18 +47,34 @@ def _cmd_canon(args):
     return status
 
 
-def _parse_list(text, cast=str):
-    return [cast(t) for t in text.split(",") if t]
+class UsageError(Exception):
+    """A command-line argument the subcommand cannot use."""
+
+
+def _parse_list(option, text, cast=str, known=None):
+    """The comma-separated items of ``text``, given to ``option``."""
+    items = []
+    for t in text.split(","):
+        if not t:
+            continue
+        try:
+            item = cast(t)
+        except ValueError:
+            raise UsageError(f"{option}: bad item {t!r}") from None
+        if known is not None and item not in known:
+            raise UsageError(f"{option}: unknown {t!r}; known: {', '.join(known)}")
+        items.append(item)
+    return items
+
+
+def _families(text):
+    return list(FAMILIES) if text == "all" else _parse_list("--families", text, known=FAMILIES)
 
 
 def _cmd_bench(args):
-    families = _parse_list(args.families) if args.families != "all" else list(FAMILIES)
-    for f in families:
-        if f not in FAMILIES:
-            print(f"unknown family {f!r}; known: {', '.join(FAMILIES)}", file=sys.stderr)
-            return 2
-    sizes = _parse_list(args.sizes, int)
-    engines = _parse_list(args.engines)
+    families = _families(args.families)
+    sizes = _parse_list("--sizes", args.sizes, int)
+    engines = _parse_list("--engines", args.engines, known=("fast", "baseline"))
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         exponents = run_bench(families, sizes, args.trials, engines, out, time_budget=args.time_budget)
@@ -71,8 +87,8 @@ def _cmd_bench(args):
 
 
 def _cmd_oracle_check(args):
-    families = _parse_list(args.families) if args.families != "all" else list(FAMILIES)
-    sizes = _parse_list(args.sizes, int)
+    families = _families(args.families)
+    sizes = _parse_list("--sizes", args.sizes, int)
     mismatches = 0
     checked = 0
     for family in families:
@@ -128,7 +144,7 @@ def main(argv=None):
     args = top.parse_args(argv)
     try:
         return args.func(args)
-    except FrontendError as exc:
+    except (FrontendError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

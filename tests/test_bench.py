@@ -93,7 +93,9 @@ def test_oracle_result_respects_cap():
     assert res == run_case(small, "fast")[1]
 
 
-def test_run_bench_csv_stream():
+def test_run_bench_csv_stream(monkeypatch):
+    # these timings are under the fit floor; lift it so both series fit
+    monkeypatch.setattr(bench, "FIT_FLOOR_S", 0.0)
     out = io.StringIO()
     exponents = run_bench(
         ["cyclic-dummies"], [2, 3, 4], 2, ["fast", "baseline"], out, verbose=False
@@ -203,3 +205,12 @@ def test_run_bench_reports_only_finite_fits():
     # with two sizes the largest half is one point: no slope to fit
     exponents = run_bench(["sym-frees", "riemann"], [2, 3], 1, ["fast"], io.StringIO(), verbose=False)
     assert exponents == {}
+
+
+def test_run_bench_fits_only_times_above_the_floor(monkeypatch):
+    # sym-frees at sizes 2-4 runs in well under a millisecond: two fitted
+    # points, but both below the floor, so no exponent
+    args = (["sym-frees"], [2, 3, 4], 1, ["fast"], io.StringIO())
+    assert run_bench(*args, verbose=False) == {}
+    monkeypatch.setattr(bench, "FIT_FLOOR_S", 0.0)
+    assert set(run_bench(*args, verbose=False)) == {("sym-frees", "fast")}

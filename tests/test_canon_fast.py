@@ -147,27 +147,50 @@ def test_zero_rule_pair_sign_under_metric():
     assert not _zero_check(asym, [-1, -1])
 
 
-# configuration counts after each slot pass, and their maximum, recorded
-# before the per-configuration work was made cheaper: a change to the
-# search's speed must leave which configurations it visits alone
+# configuration counts after each slot pass, and their maximum, with one
+# configuration kept per signed arrangement g: a change to the search's
+# speed must leave which configurations it visits alone
 SEARCH_GOLDENS = {
-    ("riemann", 6, 0): ([4, 4, 8, 8, 8, 8, 8, 8, 4, 4, 4, 4, 12, 12, 16, 16, 16, 16, 8, 8, 8, 8, 8, 8], 16),
-    ("riemann", 6, 1): ([4, 4, 8, 8, 4, 4, 8, 8, 8, 8] + [16] * 14, 16),
+    ("riemann", 6, 0): ([4, 4, 8, 8, 8, 8, 6, 6, 2, 2, 2, 2, 6, 5, 4, 4, 4, 4, 2, 2, 2, 1, 1, 1], 8),
+    ("riemann", 6, 1): ([4, 4, 8, 8, 4, 4, 7, 7, 7, 5, 10, 8, 4, 2, 2] + [1] * 9, 10),
     ("riemann", 6, 2): ([], 1),
     ("riemann", 8, 0): (
-        [4, 4, 8, 8, 32, 32, 64, 64, 32, 32, 64, 64, 64, 64] + [128] * 7 + [64] * 11,
-        128,
+        [4, 4, 8, 8, 32, 32, 64, 64, 16, 16, 32, 32, 32, 20, 40, 40, 40, 32, 16, 16, 8, 4, 2] + [1] * 9,
+        64,
     ),
-    ("riemann", 8, 1): ([4, 4, 8, 8, 32, 32, 64, 64, 32, 32, 16, 16, 16, 16] + [32] * 18, 64),
-    ("riemann", 8, 2): ([3, 3, 4, 4, 16, 16, 32, 32, 16, 16, 32, 32, 32, 32, 32, 32] + [16] * 16, 32),
-    ("riemann", 10, 0): ([4, 4, 8, 8, 4, 4, 8, 8, 8, 8, 16, 16, 16, 16] + [32] * 26, 32),
+    ("riemann", 8, 1): (
+        [4, 4, 8, 8, 32, 32, 64, 64, 22, 22, 6, 6, 6, 6, 12, 10, 6, 4, 2, 2, 2, 2, 2] + [1] * 9,
+        64,
+    ),
+    ("riemann", 8, 2): (
+        [3, 3, 4, 4, 16, 16, 32, 32, 16, 16, 32, 32, 32, 28, 28, 16, 8, 8, 8, 4, 2, 2, 2, 2] + [1] * 8,
+        32,
+    ),
+    ("riemann", 10, 0): (
+        [4, 4, 8, 8, 4, 4, 8, 8, 8, 8, 16, 16, 16, 12, 24, 20, 20, 14, 14, 10, 10, 10, 6, 6, 6, 2, 2]
+        + [1] * 13,
+        24,
+    ),
     ("riemann", 10, 1): (
-        [4, 4, 8, 8, 32, 32, 24, 24, 12, 12, 24, 24, 24, 24, 48, 48, 48, 48, 48, 48, 32, 32]
-        + [64] * 6 + [128] * 5 + [64] * 7,
-        128,
+        [4, 4, 8, 8, 32, 32, 24, 24, 12, 12, 24, 24, 12, 9, 18, 18, 18, 18, 18, 10, 7, 7, 10, 10, 10, 7]
+        + [7, 7, 10, 4, 4, 2, 2] + [1] * 7,
+        32,
     ),
-    ("riemann", 10, 2): ([4, 4, 8, 8, 4, 4, 8, 8, 8, 8, 16, 16, 16, 16, 32, 32, 32, 32], 32),
-    ("pairwise-frustrated", 6, 0): ([3, 3, 6, 6, 6, 6, 2, 2, 2, 2, 2, 2], 6),
+    ("riemann", 10, 2): ([4, 4, 8, 8, 4, 4, 8, 8, 8, 8, 16, 16, 16, 16, 28, 28, 16, 16], 28),
+    # riemann 14/1 and 16/1 are where merging by g cuts the widest pass
+    # most (from 4096 and 1536); 14/1 ends in a zero
+    ("riemann", 14, 1): (
+        [4, 4, 8, 8, 32, 32, 64, 64, 256, 256, 512, 512, 128, 128, 256, 256, 1024, 1024, 2048, 2048]
+        + [1024, 1024, 788, 788, 788, 260, 260, 260, 160, 160, 160, 80, 54, 16, 12, 6, 6, 6],
+        2048,
+    ),
+    ("riemann", 16, 1): (
+        [4, 4, 8, 8, 32, 32, 64, 64, 256, 256, 192, 192, 96, 96, 192, 96, 96, 96, 192, 192, 192, 192]
+        + [384, 320, 260, 60, 30, 30, 86, 86, 56, 56, 56, 56, 24, 24, 24, 24, 48] + [28] * 7
+        + [14, 14, 14, 14, 7, 4, 4, 4, 4, 4, 2, 1],
+        384,
+    ),
+    ("pairwise-frustrated", 6, 0): ([3, 3, 6, 6, 6, 6, 2, 2, 1, 1, 1, 1], 6),
 }
 
 

@@ -17,3 +17,16 @@ def test_canon_input_error_is_one_line_and_status_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--engines", "fst", "--sizes", "2"], "error: --engines: unknown 'fst'; known: fast, baseline\n"),
+    (["bench", "--sizes", "x"], "error: --sizes: bad item 'x'\n"),
+    (["oracle-check", "--families", "nope"], "error: --families: unknown 'nope'; known: "),
+], ids=["engines", "sizes", "families"])
+def test_bad_argument_is_one_line_and_status_2(argv, message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

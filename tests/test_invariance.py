@@ -174,3 +174,13 @@ def test_oracle_fuzz_components_and_metricless_bundles():
         checked += 1
         zeros += expected.is_zero
     assert checked == 4000 and 0 < zeros < checked
+
+
+def test_double_coset_invariance_on_large_riemann_contractions():
+    # 32 to 48 slots, past the bench-family test's 24: the sizes where
+    # keeping one configuration per arrangement g drops the most
+    rng = random.Random(7)
+    for size in (8, 10, 12):
+        for trial in range(3):
+            prob = generate("riemann", size, trial).problem
+            assert_coset_invariant(prob, rng, 3, False, ("riemann", size, trial))
