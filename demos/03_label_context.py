@@ -2,14 +2,14 @@
 
 The label group is never materialized: two arrays over label space
 encode which labels are interchangeable (equal value) and by which kind
-of exchange (group code). Consuming the least label updates both.
+of exchange (group code), and a fixed pair table names each dummy leg's
+partner. Consuming the least label updates the two arrays.
 """
 
 from tensorcanon.label_context import (
     IndexClass,
     build,
     update_context,
-    partner_of,
     label_permutation_from_group,
 )
 
@@ -26,7 +26,7 @@ print("groups:", [g.name for g in ctx.groups_list()])
 # label 10 (e2) reaches label 5 (c1) by crossing through the metric:
 ell = label_permutation_from_group(ctx, 10, 5)
 print("exchange sending e2 -> c1:", ell)
-print("partner of e2:", partner_of(ctx, 10), " partner of c1:", partner_of(ctx, 5))
+print("partner of e2:", ctx.partner[10], " partner of c1:", ctx.partner[5])
 
 # consuming c1 freezes it, promotes its partner, and bumps the rest
 ctx2 = update_context(ctx, 5)

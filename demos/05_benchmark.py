@@ -18,7 +18,6 @@ exponents = run_bench(
     trials=3,
     engines=["fast"],
     out=out,
-    verbose=False,
 )
 
 print(out.getvalue())

@@ -249,7 +249,7 @@ def fit_exponent(sizes, times):
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def run_bench(families, sizes, trials, engines, out, time_budget=10.0, verbose=True):
+def run_bench(families, sizes, trials, engines, out, time_budget=10.0):
     """Run the benchmark grid and write CSV rows to the stream ``out``.
 
     ``time_budget`` seconds (None: no limit) bound each size's set-up,
@@ -275,8 +275,7 @@ def run_bench(families, sizes, trials, engines, out, time_budget=10.0, verbose=T
                 with budget(time_budget):
                     cases = [generate(family, size, t) for t in range(trials)]
             except TimeoutError:
-                if verbose:
-                    print(f"# {family}: set-up over {time_budget:.1f}s at size {size}, skipping larger sizes", file=sys.stderr)
+                print(f"# {family}: set-up over {time_budget:.1f}s at size {size}, skipping larger sizes", file=sys.stderr)
                 break
             for engine in list(live):
                 worst = 0.0
@@ -287,8 +286,7 @@ def run_bench(families, sizes, trials, engines, out, time_budget=10.0, verbose=T
                         worst = max(worst, row["elapsed_us"] / 1e6)
                 except TimeoutError:
                     live.remove(engine)
-                    if verbose:
-                        print(f"# {family}/{engine}: over {time_budget:.1f}s at size {size}, skipping larger sizes", file=sys.stderr)
+                    print(f"# {family}/{engine}: over {time_budget:.1f}s at size {size}, skipping larger sizes", file=sys.stderr)
                     continue
                 series.setdefault((family, engine), {})[size] = worst
     exponents = {}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .label_context import GroupCode, update_context, label_permutation_from_group, partner_of
+from .label_context import GroupCode, update_context, label_permutation_from_group
 from .signed_perm import identity, from_signed_cycles, compose, preimage
 
 
@@ -137,8 +137,7 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
             continue
         new[sq] = entry
         if groups[label] in _DUMMY_CODES:
-            partner = partner_of(ctx, label)
-            pslot = preimage(g, partner)
+            pslot = preimage(g, ctx.partner[label])
             pentry = _sign(entry) * (abs(entry) + 1)
             tgt = s[pslot]
             if new[tgt] == 0 or abs(pentry) < abs(new[tgt]):
@@ -191,15 +190,13 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                 return True
         if not (group == _S_DUMMY and sym < 0 or group == _A_DUMMY and sym > 0):
             continue
-        # partner_of, inlined for the two metric dummy codes
-        partner = label - 1 if (label - ctx.values[label]) % 2 == 1 else label + 1
-        q = gi.index(partner) + 1
+        q = gi.index(ctx.partner[label]) + 1
         if q < p and syms[q - 1] == sym:
             return True
     return False
 
 
-def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop, lpfgs=None):
+def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop, lpfgs):
     """Extend ``out`` with the slot-i descendants of configuration (g, s).
 
     Instances landing in an already-visited symmetric subset are skipped:
@@ -219,13 +216,11 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     visited = set()
     n = ctx.n
     entries = subsets.entries
-    if lpfgs is None:
-        lpfgs = {}
     for p, q in instances:
         label = g[q]
         if entries[p] != 0:
             if ctx.groups[label] in _DUMMY_CODES:
-                pslot = preimage(g, partner_of(ctx, label))
+                pslot = preimage(g, ctx.partner[label])
                 far = abs(entries[pslot])
             else:
                 far = -1
@@ -319,7 +314,6 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
 
     if subsets.inconsistent:
         return finish(CanonResult.zero(), [])
-    ctx = ctx.copy()
     prop = [0] * (n + 1)
     next_odd = itertools.count(1, 2).__next__
     configs = [(g_init, identity(n))]

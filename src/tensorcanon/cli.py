@@ -25,8 +25,12 @@ from .frontend import FrontendError, Registry, parse, build_problem, render
 def _cmd_canon(args):
     registry = Registry()
     if args.decls:
-        with open(args.decls) as f:
-            registry.declare_all(f.read())
+        try:
+            with open(args.decls) as f:
+                text = f.read()
+        except OSError as exc:
+            raise UsageError(f"--decls: cannot read {args.decls!r}: {exc.strerror}") from None
+        registry.declare_all(text)
     if args.declare:
         for line in args.declare:
             registry.declare(line)
@@ -67,14 +71,27 @@ def _parse_list(option, text, cast=str, known=None):
     return items
 
 
+def _positive(option, value):
+    """``value``, which ``option`` needs to be positive."""
+    if not value > 0:
+        raise UsageError(f"{option}: must be positive, got {value:g}")
+    return value
+
+
+def _sizes(text):
+    return [_positive("--sizes", size) for size in _parse_list("--sizes", text, int)]
+
+
 def _families(text):
     return list(FAMILIES) if text == "all" else _parse_list("--families", text, known=FAMILIES)
 
 
 def _cmd_bench(args):
     families = _families(args.families)
-    sizes = _parse_list("--sizes", args.sizes, int)
+    sizes = _sizes(args.sizes)
     engines = _parse_list("--engines", args.engines, known=("fast", "baseline"))
+    _positive("--trials", args.trials)
+    _positive("--time-budget", args.time_budget)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         exponents = run_bench(families, sizes, args.trials, engines, out, time_budget=args.time_budget)
@@ -88,7 +105,10 @@ def _cmd_bench(args):
 
 def _cmd_oracle_check(args):
     families = _families(args.families)
-    sizes = _parse_list("--sizes", args.sizes, int)
+    sizes = _sizes(args.sizes)
+    _positive("--trials", args.trials)
+    _positive("--max-slots", args.max_slots)
+    _positive("--cap", args.cap)
     mismatches = 0
     checked = 0
     for family in families:

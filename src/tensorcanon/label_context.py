@@ -6,20 +6,29 @@ A monomial's index labels 1..n are partitioned into classes:
   all of them);
 * component classes — m repetitions of the same numeral; any of the m
   labels may be moved into any of the class's slots;
-* dummy classes — p contracted pairs sharing an index bundle.  With a
-  symmetric metric the two legs of a pair may be swapped freely; with an
-  antisymmetric metric the swap costs a sign; without a metric legs keep
-  their lower/upper character and only whole pairs are exchangeable.
+* dummy classes — p contracted pairs sharing an index bundle.  Each pair
+  holds two adjacent labels, lower leg then upper leg, and the pairs
+  are exchanged as blocks.  With a symmetric metric the two legs of a
+  pair may also be swapped freely; with an antisymmetric metric the
+  swap costs a sign; without a metric legs keep their lower/upper
+  character.
 
-The :class:`LabelContext` holds two 1-based arrays over labels:
+The :class:`LabelContext` holds three 1-based arrays over labels:
 
 * ``values[x]`` — the least label that x can still be turned into by the
   remaining relabelling freedom (free labels: themselves);
 * ``groups[x]`` — a :class:`GroupCode` describing the kind of exchange
-  still available for x.
+  still available for x;
+* ``partner[x]`` — the other leg of x's dummy pair, or 0 for free and
+  component labels.  It is fixed at :func:`build` and shared, unchanged,
+  by every narrowed context.
 
 As the canonicalization engines consume one least label per slot, the
-context is narrowed with :func:`update_context`.
+context is narrowed with :func:`update_context`, one rule for every
+kind: the consumed label and its partner are frozen, and the class's
+remaining labels move up past them.  :func:`label_permutation_from_group`
+reads the pair table to build the label element that moves a label to
+its least value.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .signed_perm import from_signed_cycles, compose, identity
+from .signed_perm import from_signed_cycles, identity
 
 
 class GroupCode(enum.IntEnum):
@@ -56,18 +65,16 @@ class IndexClass:
 
 
 class LabelContext:
-    """Values and Label-Groups arrays, 1-based (index 0 unused)."""
+    """Values, Label-Groups and partner arrays, 1-based (index 0 unused)."""
 
-    def __init__(self, values, groups):
+    def __init__(self, values, groups, partner):
         self.values = list(values)
         self.groups = list(groups)
+        self.partner = tuple(partner)
 
     @property
     def n(self):
         return len(self.values) - 1
-
-    def copy(self):
-        return LabelContext(self.values, self.groups)
 
     def values_list(self):
         return list(self.values[1:])
@@ -83,142 +90,87 @@ def build(classes):
     """Build the initial context from classes listed in <-order."""
     values = [0]
     groups = [GroupCode.NONE]
+    partner = [0]
     label = 1
     for cls in classes:
         if cls.kind == "free":
-            for _ in range(cls.size):
-                values.append(label)
-                groups.append(GroupCode.NONE)
-                label += 1
+            values += range(label, label + cls.size)
+            groups += [GroupCode.NONE] * cls.size
+            partner += [0] * cls.size
+            label += cls.size
         elif cls.kind == "component":
-            least = label
-            for _ in range(cls.size):
-                values.append(least)
-                groups.append(GroupCode.COMPONENT)
-                label += 1
+            values += [label] * cls.size
+            groups += [GroupCode.COMPONENT] * cls.size
+            partner += [0] * cls.size
+            label += cls.size
         elif cls.kind == "dummy":
-            least = label
             if cls.metric in ("symmetric", "antisymmetric"):
+                # every leg can reach the least lower leg
                 code = GroupCode.S_DUMMY if cls.metric == "symmetric" else GroupCode.A_DUMMY
-                for _ in range(2 * cls.size):
-                    values.append(least)
-                    groups.append(code)
-                    label += 1
+                leg_values, leg_groups = [label, label], [code, code]
             elif cls.metric == "none":
-                # legs alternate lower/upper; lower legs can only reach
-                # the least lower label, upper legs the least upper one
-                for _ in range(cls.size):
-                    values.append(least)
-                    groups.append(GroupCode.L_DUMMY)
-                    values.append(least + 1)
-                    groups.append(GroupCode.U_DUMMY)
-                    label += 2
+                # lower legs can only reach the least lower label, upper
+                # legs the least upper one
+                leg_values, leg_groups = [label, label + 1], [GroupCode.L_DUMMY, GroupCode.U_DUMMY]
             else:
                 raise ValueError(f"unknown metric {cls.metric!r}")
+            for _ in range(cls.size):
+                values += leg_values
+                groups += leg_groups
+                partner += [label + 1, label]
+                label += 2
         else:
             raise ValueError(f"unknown class kind {cls.kind!r}")
-    return LabelContext(values, groups)
-
-
-def partner_of(ctx, label):
-    """The other leg of ``label``'s dummy pair.
-
-    Pairs occupy adjacent labels starting at the class least, so the
-    parity of ``label`` relative to its reachable least says which leg
-    it is.  Metric-less legs keep their lower/upper character: a lower
-    leg's partner is always the next label, an upper leg's the previous.
-    """
-    group = ctx.groups[label]
-    if group == GroupCode.U_DUMMY:
-        return label - 1
-    if group == GroupCode.L_DUMMY:
-        return label + 1
-    if (label - ctx.values[label]) % 2 == 1:
-        return label - 1
-    return label + 1
+    return LabelContext(values, groups, partner)
 
 
 def label_permutation_from_group(ctx, label, least_value):
     """An element of the label group sending ``label`` to ``least_value``.
 
-    Returns a signed permutation on the label space (degree n).  For
-    dummies the element moves the whole pair so that ``label`` lands on
-    ``least_value`` and its partner on the adjacent slot of the least
-    pair; an intra-pair swap (signed for antisymmetric metrics) is
-    composed in when the pair arrives legs-crossed.
+    Returns a signed permutation on the label space (degree n).  A
+    component label, or a leg whose partner is ``least_value``, is
+    swapped with ``least_value``.  Any other leg moves with its pair
+    onto the least pair: at an even distance the legs keep their order,
+    at an odd distance they cross, which is the 4-cycle (label least
+    partner[label] partner[least]).  Crossing costs a sign under an
+    antisymmetric metric.
     """
     n = ctx.n
-    group = ctx.groups[label]
-    if label == least_value or group == GroupCode.NONE:
+    if label == least_value:
         return identity(n)
-    if group == GroupCode.COMPONENT:
-        return from_signed_cycles(n, 1, [(least_value, label)])
-    if group in (GroupCode.S_DUMMY, GroupCode.A_DUMMY):
-        crossed = (label - least_value) % 2 == 1
-        if crossed:
-            pair_low, pair_high = label - 1, label
-        else:
-            pair_low, pair_high = label, label + 1
-        block_cycles = []
-        if pair_low != least_value:
-            block_cycles = [(least_value, pair_low), (least_value + 1, pair_high)]
-        block = from_signed_cycles(n, 1, block_cycles)
-        if not crossed:
-            return block
-        intra_sign = -1 if group == GroupCode.A_DUMMY else 1
-        intra = from_signed_cycles(n, intra_sign, [(pair_low, pair_high)])
-        return compose(block, intra)
-    if group == GroupCode.L_DUMMY:
-        return from_signed_cycles(n, 1, [(least_value, label), (least_value + 1, label + 1)])
-    if group == GroupCode.U_DUMMY:
-        return from_signed_cycles(n, 1, [(least_value - 1, label - 1), (least_value, label)])
-    raise AssertionError(f"unhandled group code {group}")
+    partner = ctx.partner
+    odd = (label - least_value) % 2 == 1
+    sign = -1 if odd and ctx.groups[label] == GroupCode.A_DUMMY else 1
+    if partner[label] in (0, least_value):
+        cycles = [(least_value, label)]
+    elif odd:
+        cycles = [(label, least_value, partner[label], partner[least_value])]
+    else:
+        cycles = [(least_value, label), (partner[least_value], partner[label])]
+    return from_signed_cycles(n, sign, cycles)
 
 
 def update_context(ctx, least_value):
     """Narrow the context after consuming ``least_value``.
 
-    Returns a new context in which the consumed label (and, for dummies,
-    its partner slot in the least pair) is frozen, and the remaining
-    labels of the class have their reachable least raised.
+    Returns a new context in which the consumed label and its partner
+    are frozen at their own values, and each following label whose value
+    is at most the higher of the two is raised past them: by 2 in a
+    dummy class, by 1 in a component class.  A free or frozen label
+    changes nothing.
     """
     n = ctx.n
-    group = ctx.groups[least_value]
-    new = ctx.copy()
-    if group == GroupCode.NONE:
-        return new
-    if group == GroupCode.COMPONENT:
-        new.values[least_value] = least_value
-        new.groups[least_value] = GroupCode.NONE
-        loop_start = least_value + 1
-        threshold = least_value
-        increment = 1
-    elif group in (GroupCode.S_DUMMY, GroupCode.A_DUMMY):
-        new.values[least_value + 1] = ctx.values[least_value + 1] + 1
-        new.groups[least_value] = GroupCode.NONE
-        new.groups[least_value + 1] = GroupCode.NONE
-        new.values[least_value] = least_value
-        loop_start = least_value + 2
-        threshold = least_value
-        increment = 2
-    elif group == GroupCode.L_DUMMY:
-        new.values[least_value] = least_value
-        new.groups[least_value] = GroupCode.NONE
-        new.groups[least_value + 1] = GroupCode.NONE
-        loop_start = least_value + 2
-        threshold = least_value + 1
-        increment = 2
-    elif group == GroupCode.U_DUMMY:
-        new.values[least_value] = least_value
-        new.groups[least_value - 1] = GroupCode.NONE
-        new.groups[least_value] = GroupCode.NONE
-        loop_start = least_value + 1
-        threshold = least_value
-        increment = 2
-    else:
-        raise AssertionError(f"unhandled group code {group}")
-    j = loop_start
-    while j <= n and new.values[j] <= threshold:
-        new.values[j] += increment
+    partner = ctx.partner[least_value]
+    values = list(ctx.values)
+    groups = list(ctx.groups)
+    # a non-dummy's partner is 0, the unused index, so freezing it is a no-op
+    for x in (least_value, partner):
+        values[x] = x
+        groups[x] = GroupCode.NONE
+    top = max(least_value, partner)
+    increment = 2 if partner else 1
+    j = top + 1
+    while j <= n and values[j] <= top:
+        values[j] += increment
         j += 1
-    return new
+    return LabelContext(values, groups, ctx.partner)

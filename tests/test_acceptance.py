@@ -225,7 +225,7 @@ def test_baseline_over_budget_is_skipped():
     out = io.StringIO()
     run_bench(
         ["totalsym-frustrated"], [6, 10], 1, ["baseline"], out,
-        time_budget=10.0, verbose=False,
+        time_budget=10.0,
     )
     rows = list(csv.DictReader(
         l for l in out.getvalue().splitlines() if not l.startswith("#")

@@ -97,9 +97,7 @@ def test_run_bench_csv_stream(monkeypatch):
     # these timings are under the fit floor; lift it so both series fit
     monkeypatch.setattr(bench, "FIT_FLOOR_S", 0.0)
     out = io.StringIO()
-    exponents = run_bench(
-        ["cyclic-dummies"], [2, 3, 4], 2, ["fast", "baseline"], out, verbose=False
-    )
+    exponents = run_bench(["cyclic-dummies"], [2, 3, 4], 2, ["fast", "baseline"], out)
     text = out.getvalue()
     header_lines = [l for l in text.splitlines() if l.startswith("#")]
     assert any("random.Random" in l for l in header_lines)
@@ -120,7 +118,7 @@ def test_run_bench_skips_slow_engine():
     out = io.StringIO()
     run_bench(
         ["totalsym-frustrated"], [7, 8], 1, ["fast", "baseline"], out,
-        time_budget=0.05, verbose=False,
+        time_budget=0.05,
     )
     rows = list(csv.DictReader(l for l in out.getvalue().splitlines() if not l.startswith("#")))
     # the baseline exceeds the budget at size 7, is aborted mid-run,
@@ -197,13 +195,13 @@ def test_run_bench_stops_generating_once_every_engine_is_skipped(monkeypatch):
 
     monkeypatch.setattr(bench, "generate", recording_generate)
     out = io.StringIO()
-    run_bench(["totalsym-frustrated"], [6, 10, 40], 1, ["baseline"], out, time_budget=1.0, verbose=False)
+    run_bench(["totalsym-frustrated"], [6, 10, 40], 1, ["baseline"], out, time_budget=1.0)
     assert generated == [6, 10]
 
 
 def test_run_bench_reports_only_finite_fits():
     # with two sizes the largest half is one point: no slope to fit
-    exponents = run_bench(["sym-frees", "riemann"], [2, 3], 1, ["fast"], io.StringIO(), verbose=False)
+    exponents = run_bench(["sym-frees", "riemann"], [2, 3], 1, ["fast"], io.StringIO())
     assert exponents == {}
 
 
@@ -211,6 +209,6 @@ def test_run_bench_fits_only_times_above_the_floor(monkeypatch):
     # sym-frees at sizes 2-4 runs in well under a millisecond: two fitted
     # points, but both below the floor, so no exponent
     args = (["sym-frees"], [2, 3, 4], 1, ["fast"], io.StringIO())
-    assert run_bench(*args, verbose=False) == {}
+    assert run_bench(*args) == {}
     monkeypatch.setattr(bench, "FIT_FLOOR_S", 0.0)
-    assert set(run_bench(*args, verbose=False)) == {("sym-frees", "fast")}
+    assert set(run_bench(*args)) == {("sym-frees", "fast")}

@@ -11,6 +11,7 @@ def test_canon_prints_result(capsys):
 @pytest.mark.parametrize("argv", [
     ["canon", "--declare", "tensor T rank=x", "T_{a}"],
     ["canon", "--declare", "tensor T rank=2", "T_{a}"],
+    ["canon", "--decls", "no-such-dir/decls.txt", "T_{a}"],
 ])
 def test_canon_input_error_is_one_line_and_status_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -23,7 +24,15 @@ def test_canon_input_error_is_one_line_and_status_2(argv, capsys):
     (["bench", "--engines", "fst", "--sizes", "2"], "error: --engines: unknown 'fst'; known: fast, baseline\n"),
     (["bench", "--sizes", "x"], "error: --sizes: bad item 'x'\n"),
     (["oracle-check", "--families", "nope"], "error: --families: unknown 'nope'; known: "),
-], ids=["engines", "sizes", "families"])
+    (["bench", "--families", "riemann", "--sizes", "0"], "error: --sizes: must be positive, got 0\n"),
+    (["oracle-check", "--sizes", "2,-1"], "error: --sizes: must be positive, got -1\n"),
+    (["bench", "--sizes", "2", "--trials", "0"], "error: --trials: must be positive, got 0\n"),
+    (["oracle-check", "--trials", "-2"], "error: --trials: must be positive, got -2\n"),
+    (["bench", "--sizes", "2", "--time-budget", "0"], "error: --time-budget: must be positive, got 0\n"),
+    (["oracle-check", "--max-slots", "0"], "error: --max-slots: must be positive, got 0\n"),
+    (["oracle-check", "--cap", "0"], "error: --cap: must be positive, got 0\n"),
+], ids=["engines", "sizes", "families", "bench-sizes-0", "oracle-sizes-negative", "bench-trials",
+        "oracle-trials", "time-budget", "max-slots", "cap"])
 def test_bad_argument_is_one_line_and_status_2(argv, message, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

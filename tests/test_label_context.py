@@ -1,15 +1,16 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorcanon.label_context import (
     GroupCode,
     IndexClass,
     build,
-    partner_of,
     label_permutation_from_group,
     update_context,
 )
+from tensorcanon.oracle import enumerate_label_group
 from tensorcanon.signed_perm import compose, identity
 
 
@@ -85,15 +86,22 @@ def test_update_no_metric():
 
 def test_partner_of():
     ctx = build([IndexClass("free", 2), IndexClass("dummy", 2, metric="antisymmetric")])
-    assert partner_of(ctx, 3) == 4
-    assert partner_of(ctx, 4) == 3
-    assert partner_of(ctx, 5) == 6
-    assert partner_of(ctx, 6) == 5
+    assert ctx.partner[3] == 4
+    assert ctx.partner[4] == 3
+    assert ctx.partner[5] == 6
+    assert ctx.partner[6] == 5
     nometric = build([IndexClass("dummy", 2, metric="none")])
-    assert partner_of(nometric, 1) == 2
-    assert partner_of(nometric, 2) == 1
-    assert partner_of(nometric, 3) == 4
-    assert partner_of(nometric, 4) == 3
+    assert nometric.partner[1] == 2
+    assert nometric.partner[2] == 1
+    assert nometric.partner[3] == 4
+    assert nometric.partner[4] == 3
+    # frees and components have no partner
+    mixed = build([IndexClass("free", 2), IndexClass("component", 2), IndexClass("dummy", 1, metric="symmetric")])
+    assert mixed.partner == (0, 0, 0, 0, 0, 6, 5)
+    # consuming labels narrows values and groups but never the pair table
+    for least in (3, 5, 4):
+        mixed = update_context(mixed, least)
+        assert mixed.partner == (0, 0, 0, 0, 0, 6, 5)
 
 
 def test_label_permutation_crossed_metric_dummy():
@@ -208,5 +216,27 @@ def test_label_permutation_reaches_value(classes):
             GroupCode.L_DUMMY,
             GroupCode.U_DUMMY,
         ):
-            assert ell[partner_of(ctx, label)] == partner_of(ctx, least)
+            assert ell[ctx.partner[label]] == ctx.partner[least]
         assert sorted(ell.images) == list(range(1, n + 3))
+
+
+@pytest.mark.parametrize("classes", CLASS_LISTS)
+def test_label_permutations_are_group_elements_fixing_consumed_labels(classes):
+    # consuming labels in value order, each active label's exchange is a
+    # true element of the label group, sign included, that reaches the
+    # label's value and fixes every label no longer exchangeable (frees
+    # and consumed labels)
+    ctx = build(classes)
+    n = ctx.n
+    group = {e.images for e in enumerate_label_group(classes, n)}
+    while True:
+        active = [x for x in range(1, n + 1) if ctx.groups[x] != GroupCode.NONE]
+        if not active:
+            break
+        frozen = [x for x in range(1, n + 1) if ctx.groups[x] == GroupCode.NONE]
+        for x in active:
+            ell = label_permutation_from_group(ctx, x, ctx.values[x])
+            assert ell.images in group
+            assert ell[x] == ctx.values[x]
+            assert all(ell[y] == y for y in frozen)
+        ctx = update_context(ctx, min(ctx.values[x] for x in active))
