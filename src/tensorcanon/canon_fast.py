@@ -3,7 +3,8 @@
 The engine fixes one slot per pass, left to right.  A configuration is
 a point g of the double coset L·g_init·S, the current signed
 slot->label assignment, carried with the slot permutation s that
-reached it from the initial assignment.  Each pass keeps one
+reached it from the initial assignment.  Each pass renumbers every
+child's unconsumed labels by first appearance, then keeps one
 configuration per signed g, the one with the least s (see
 :func:`canonicalize` for why that loses no result).  For each slot the
 engine finds every way of bringing the least reachable label into that
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 import itertools
 
-from .label_context import GroupCode, update_context, label_permutation_from_group
-from .signed_perm import identity, from_signed_cycles, compose, preimage
+from .label_context import GroupCode, first_appearance_renaming, update_context, label_permutation_from_group
+from .signed_perm import SignedPermutation, identity, from_signed_cycles, compose, preimage
 
 
 class CanonResult:
@@ -79,8 +80,8 @@ def get_least_value_instances(i, orbit, configs, ctx, prop):
     values = ctx.values
     least_value = n
     instances = [[] for _ in configs]
-    for k, (g, s) in enumerate(configs):
-        gi, si = g.images, s.images
+    for k, c in enumerate(configs):
+        gi, si = c[0].images, c[1].images
         for p in orbit:
             q = p
             entry = prop[si[p - 1]]
@@ -212,10 +213,17 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     ``lpfgs`` maps a label to its ``label_permutation_from_group(ctx,
     label, least_value)``; one dict shared by a whole slot pass builds
     each label's permutation once.
+
+    Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked)``.
+    ``checked`` is ``prop``, which this configuration has passed the
+    zero check against, or None for a child that took its label through
+    an exchange (p != q): such a child must be checked again.
     """
     visited = set()
     n = ctx.n
     entries = subsets.entries
+    gp = (0,) + g.images  # 1-padded, so that gp[x] is the image of x
+    sp = (0,) + s.images
     for p, q in instances:
         label = g[q]
         if entries[p] != 0:
@@ -231,7 +239,7 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
         lpfg = lpfgs.get(label)
         if lpfg is None:
             lpfg = lpfgs[label] = label_permutation_from_group(ctx, label, least_value)
-        if prop[s[q]] != 0 and p != q:
+        if p != q:
             # q supplies the label through an exchange with slot p; fold
             # the (possibly signed) label swap in before relabelling
             eps = _sign(prop[s[q]])
@@ -239,9 +247,21 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
             ltilde = compose(lpfg, swap)
         else:
             ltilde = lpfg
-        stilde = S.coset_rep(i, p)
-        out.append((compose(ltilde, compose(g, stilde)), compose(s, stilde)))
+        lt = (0,) + ltilde.images
+        st = S.coset_rep(i, p).images
+        out.append((
+            SignedPermutation([lt[gp[x]] for x in st]),
+            SignedPermutation([sp[x] for x in st]),
+            prop if p == q else None,
+        ))
     return out
+
+
+def _renamed(ctx, config, i):
+    """``config`` with its unconsumed labels renumbered by first appearance."""
+    g, s, checked = config
+    lam = first_appearance_renaming(ctx, g.images[i:-2])
+    return config if lam is None else (compose(lam, g), s, checked)
 
 
 def canonicalize(g_init, S, ctx, subsets, trace=None):
@@ -303,6 +323,41 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     after its kept twin, against the same ``prop``.  Each gave the
     twin's least value and children, recorded no new entry and passed
     the zero check.  The oracle and double-coset tests pin the outputs.
+
+    Before that merge, when a pass has more than one child, each child
+    g becomes λ∘g with its s unchanged.  λ is
+    :func:`~tensorcanon.label_context.first_appearance_renaming` of the
+    narrowed context: it renumbers each class's unconsumed dummy pairs,
+    lower leg onto lower leg, and repeated component labels, in order of
+    first appearance in slots i+1..n, and fixes every consumed label.
+    So configurations that differ by such a renaming merge, as
+    Butler–Portugal's label stabilizer of the filled prefix makes them
+    one.  This is sound:
+
+    * s is unchanged, so the view ``prop[s[p]]`` is unchanged.
+    * λ keeps each label's class, value, ``GroupCode`` and
+      ``ctx.partner``, which is all the helpers read of a label.  So the
+      search from λ∘g is the λ-image of the search from g; each later
+      pass fills its slot with the same least value, and both end at
+      the same fully consumed arrangement.
+    * λ carries no sign and depends only on g's unsigned images, so +g
+      and -g get the same λ and stay a pair; and a ±h pair after
+      renaming, h = λ1∘g1 = -λ2∘g2, puts g1 and -g2 in one double
+      coset, a true zero.
+
+    Each child also carries the ``prop`` array its parent passed the
+    zero check against, and its own check is skipped while ``prop`` is
+    still that object, except for children that took their label
+    through an exchange (p != q).  That is sound because such a child
+    is μ∘g∘stilde with μ = λ∘ltilde a label element, seen through
+    s∘stilde: its family and label at slot p are the parent's at
+    stilde(p), renamed by μ, which keeps class, group code and pairs.
+    stilde ∈ S maps each detected subset onto a detected subset of the
+    same sign, and narrowing the context only turns labels into NONE.
+    So no rule can fire on the child unless it fired on the parent,
+    which passed.  An exchange child is not of that form: its swap of
+    two labels comes from a propagated slot symmetry, not from the label
+    group, so it is checked again.
     """
     n = ctx.n
 
@@ -316,14 +371,14 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
         return finish(CanonResult.zero(), [])
     prop = [0] * (n + 1)
     next_odd = itertools.count(1, 2).__next__
-    configs = [(g_init, identity(n))]
+    configs = [(g_init, identity(n), None)]
     counts = []
     for i in range(1, n + 1):
         orbit = S.orbit_of(i)
         least_value, instances = get_least_value_instances(i, orbit, configs, ctx, prop)
         out = []
         lpfgs = {}
-        for (g, s), inst in zip(configs, instances):
+        for (g, s, checked), inst in zip(configs, instances):
             if not inst:
                 continue
             prev = prop
@@ -332,10 +387,12 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
                 trace.setdefault("prop_updates", []).append(
                     (list(prev), list(prop), s.images, [ctx.values[g[q]] for _, q in inst])
                 )
-            if zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
+            if prop is not checked and zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                 return finish(CanonResult.zero(), counts)
             append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop, lpfgs)
         ctx = update_context(ctx, least_value)
+        if len(out) > 1:
+            out = [_renamed(ctx, c, i) for c in out]
         out.sort(key=lambda c: (c[0].images, c[1].images))
         configs = []
         for c in out:

@@ -56,7 +56,7 @@ class UsageError(Exception):
 
 
 def _parse_list(option, text, cast=str, known=None):
-    """The comma-separated items of ``text``, given to ``option``."""
+    """The comma-separated items of ``text``, given to ``option``; at least one."""
     items = []
     for t in text.split(","):
         if not t:
@@ -68,6 +68,8 @@ def _parse_list(option, text, cast=str, known=None):
         if known is not None and item not in known:
             raise UsageError(f"{option}: unknown {t!r}; known: {', '.join(known)}")
         items.append(item)
+    if not items:
+        raise UsageError(f"{option}: no items")
     return items
 
 
@@ -92,7 +94,10 @@ def _cmd_bench(args):
     engines = _parse_list("--engines", args.engines, known=("fast", "baseline"))
     _positive("--trials", args.trials)
     _positive("--time-budget", args.time_budget)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"--out: cannot write {args.out!r}: {exc.strerror}") from None
     try:
         exponents = run_bench(families, sizes, args.trials, engines, out, time_budget=args.time_budget)
     finally:

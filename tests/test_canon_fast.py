@@ -3,6 +3,7 @@ import traceback
 
 import pytest
 
+from tensorcanon import canon_fast
 from tensorcanon.bench import budget, generate
 from tensorcanon.canon_baseline import butler_portugal
 from tensorcanon.canon_fast import (
@@ -148,47 +149,58 @@ def test_zero_rule_pair_sign_under_metric():
 
 
 # configuration counts after each slot pass, and their maximum, with one
-# configuration kept per signed arrangement g: a change to the search's
+# configuration kept per signed arrangement g once each pass's unconsumed
+# labels are renumbered by first appearance: a change to the search's
 # speed must leave which configurations it visits alone
 SEARCH_GOLDENS = {
-    ("riemann", 6, 0): ([4, 4, 8, 8, 8, 8, 6, 6, 2, 2, 2, 2, 6, 5, 4, 4, 4, 4, 2, 2, 2, 1, 1, 1], 8),
-    ("riemann", 6, 1): ([4, 4, 8, 8, 4, 4, 7, 7, 7, 5, 10, 8, 4, 2, 2] + [1] * 9, 10),
+    ("riemann", 6, 0): ([4, 4, 8, 8, 4, 4, 2, 2, 1, 1, 1, 1, 3, 3, 4, 4, 4, 4, 2, 2, 2, 1, 1, 1], 8),
+    ("riemann", 6, 1): ([4, 4, 8, 8, 2, 2, 4, 4, 4, 4, 8, 8, 4, 2, 2] + [1] * 9, 8),
     ("riemann", 6, 2): ([], 1),
     ("riemann", 8, 0): (
-        [4, 4, 8, 8, 32, 32, 64, 64, 16, 16, 32, 32, 32, 20, 40, 40, 40, 32, 16, 16, 8, 4, 2] + [1] * 9,
+        [4, 4, 8, 8, 32, 32, 64, 64, 16, 16, 32, 32, 32, 16, 32, 32, 32, 16, 8, 8, 4, 2] + [1] * 10,
         64,
     ),
     ("riemann", 8, 1): (
-        [4, 4, 8, 8, 32, 32, 64, 64, 22, 22, 6, 6, 6, 6, 12, 10, 6, 4, 2, 2, 2, 2, 2] + [1] * 9,
+        [4, 4, 8, 8, 32, 32, 64, 64, 16, 16, 4, 4, 4, 4, 8, 8, 4, 4] + [2] * 5 + [1] * 9,
         64,
     ),
     ("riemann", 8, 2): (
-        [3, 3, 4, 4, 16, 16, 32, 32, 16, 16, 32, 32, 32, 28, 28, 16, 8, 8, 8, 4, 2, 2, 2, 2] + [1] * 8,
+        [3, 3, 4, 4, 16, 16, 32, 32, 8, 8] + [16] * 6 + [8, 8, 8, 4, 2, 2, 2, 2] + [1] * 8,
         32,
     ),
-    ("riemann", 10, 0): (
-        [4, 4, 8, 8, 4, 4, 8, 8, 8, 8, 16, 16, 16, 12, 24, 20, 20, 14, 14, 10, 10, 10, 6, 6, 6, 2, 2]
-        + [1] * 13,
-        24,
-    ),
+    ("riemann", 10, 0): ([4, 4, 8, 8, 2, 2, 4, 4, 2, 2, 4, 4, 4, 4, 8, 8, 4] + [2] * 5 + [1] * 18, 8),
     ("riemann", 10, 1): (
-        [4, 4, 8, 8, 32, 32, 24, 24, 12, 12, 24, 24, 12, 9, 18, 18, 18, 18, 18, 10, 7, 7, 10, 10, 10, 7]
-        + [7, 7, 10, 4, 4, 2, 2] + [1] * 7,
+        [4, 4, 8, 8, 32, 32, 16, 16, 4, 4, 8, 8, 4, 4, 8, 8, 8, 8, 4, 4, 2, 2, 4, 4, 4] + [2] * 8 + [1] * 7,
         32,
     ),
-    ("riemann", 10, 2): ([4, 4, 8, 8, 4, 4, 8, 8, 8, 8, 16, 16, 16, 16, 28, 28, 16, 16], 28),
+    ("riemann", 10, 2): ([4, 4, 8, 8, 2, 2, 4, 4, 2, 2, 4, 4, 4, 4, 8, 8, 4, 4], 8),
     # riemann 14/1 and 16/1 are where merging by g cuts the widest pass
     # most (from 4096 and 1536); 14/1 ends in a zero
     ("riemann", 14, 1): (
         [4, 4, 8, 8, 32, 32, 64, 64, 256, 256, 512, 512, 128, 128, 256, 256, 1024, 1024, 2048, 2048]
-        + [1024, 1024, 788, 788, 788, 260, 260, 260, 160, 160, 160, 80, 54, 16, 12, 6, 6, 6],
+        + [512, 512, 256, 256, 256, 64, 32, 32, 16, 16, 16, 16, 8, 2, 1, 1, 1, 1],
         2048,
     ),
     ("riemann", 16, 1): (
-        [4, 4, 8, 8, 32, 32, 64, 64, 256, 256, 192, 192, 96, 96, 192, 96, 96, 96, 192, 192, 192, 192]
-        + [384, 320, 260, 60, 30, 30, 86, 86, 56, 56, 56, 56, 24, 24, 24, 24, 48] + [28] * 7
-        + [14, 14, 14, 14, 7, 4, 4, 4, 4, 4, 2, 1],
-        384,
+        [4, 4, 8, 8, 32, 32, 64, 64, 256, 256, 128, 128, 32, 32, 64, 64, 32, 32, 64, 64, 64, 64]
+        + [128, 128, 64, 16, 8, 8, 32, 32, 16, 16, 16, 16, 8, 8, 8, 8] + [16] * 8
+        + [8, 8, 8, 8, 4] + [2] * 5 + [1, 1],
+        256,
+    ),
+    # riemann 18/2 and 20/1 are where renumbering the unconsumed pairs
+    # cuts the widest pass most (from 36448 and 864)
+    ("riemann", 18, 2): (
+        [4, 4, 8, 8, 2, 2, 4, 4, 16, 16, 32, 32, 128, 128, 256, 256, 256, 128, 256, 256, 64, 64]
+        + [32, 32, 16, 16, 32, 32, 128, 128, 256, 256, 1024, 1024, 2048, 2048, 512, 512]
+        + [1024, 1024, 1024, 1024, 512, 512, 512, 512, 128, 64, 64, 32, 32, 8, 8, 8, 4, 4, 4, 2]
+        + [1] * 14,
+        2048,
+    ),
+    ("riemann", 20, 1): (
+        [4, 4, 8, 8, 2, 2, 4, 4, 2, 2, 4, 4, 16, 16, 32, 32, 32, 32, 64, 64, 256, 256, 128, 128]
+        + [128, 64, 64, 64, 32, 32, 64, 64, 64, 64, 128, 128, 32, 32, 64, 64, 32, 32, 64, 64]
+        + [32] * 5 + [16, 8, 8, 4, 4] + [2] * 8 + [4, 4, 4, 2, 2, 2, 2] + [1] * 11,
+        256,
     ),
     ("pairwise-frustrated", 6, 0): ([3, 3, 6, 6, 6, 6, 2, 2, 1, 1, 1, 1], 6),
 }
@@ -254,6 +266,30 @@ def test_propagated_jump_outside_orbit():
     assert render(result, mono, reg) == "T_{a b c d e f} U^{c d e f g h}"
 
 
+def test_exchange_children_are_checked_again(monkeypatch):
+    # a child that takes its label through an exchange with another slot
+    # (p != q) carries no passed check, so its zero check runs; a child
+    # built in place carries the prop its parent passed
+    append = canon_fast.append_non_redundant_instances
+    markers = {True: [], False: []}
+
+    def recorded(out, instances, g, s, least_value, S, i, ctx, subsets, prop, lpfgs):
+        before = len(out)
+        append(out, instances, g, s, least_value, S, i, ctx, subsets, prop, lpfgs)
+        exchanges = {p != q for p, q in instances}
+        if len(exchanges) == 1:
+            markers[exchanges.pop()] += [c[2] is prop if c[2] is not None else None for c in out[before:]]
+        return out
+
+    monkeypatch.setattr(canon_fast, "append_non_redundant_instances", recorded)
+    _, _, prob = make_problem("tensor T rank=6 sym=3..6\ntensor U rank=6", "T_{a b c d e f} U^{e d f c g h}")
+    prob.canonicalize()
+    for trial in range(8):
+        generate("riemann", 4, trial).problem.canonicalize()
+    assert markers[True] and set(markers[True]) == {None}
+    assert markers[False] and set(markers[False]) == {True}
+
+
 def test_mixed_partner_subsets_regression():
     # T's antisymmetric subset holds both legs of one pair plus single
     # legs of two pairs crossing to U: instances whose partners sit in
@@ -288,9 +324,10 @@ def test_plus_minus_collision_zero():
 
 
 def test_deadline_aborts():
-    # twelve contracted Riemann factors: about 1024 configurations and
-    # most of a second of search, so a 20-ms budget stops it mid-run
-    prob = generate("riemann", 12, 0).problem
+    # eighteen contracted Riemann factors: 2048 configurations at the
+    # widest pass and about half a second of search, so a 20-ms budget
+    # stops it mid-run
+    prob = generate("riemann", 18, 2).problem
     trace = {}
     with pytest.raises(TimeoutError) as info:
         with budget(0.02):

@@ -31,8 +31,11 @@ def test_canon_input_error_is_one_line_and_status_2(argv, capsys):
     (["bench", "--sizes", "2", "--time-budget", "0"], "error: --time-budget: must be positive, got 0\n"),
     (["oracle-check", "--max-slots", "0"], "error: --max-slots: must be positive, got 0\n"),
     (["oracle-check", "--cap", "0"], "error: --cap: must be positive, got 0\n"),
+    (["bench", "--sizes", ","], "error: --sizes: no items\n"),
+    (["oracle-check", "--sizes", ","], "error: --sizes: no items\n"),
+    (["bench", "--sizes", "2", "--out", "no-such-dir/x.csv"], "error: --out: cannot write 'no-such-dir/x.csv': "),
 ], ids=["engines", "sizes", "families", "bench-sizes-0", "oracle-sizes-negative", "bench-trials",
-        "oracle-trials", "time-budget", "max-slots", "cap"])
+        "oracle-trials", "time-budget", "max-slots", "cap", "bench-sizes-empty", "oracle-sizes-empty", "out"])
 def test_bad_argument_is_one_line_and_status_2(argv, message, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

@@ -7,6 +7,9 @@ the benchmark families never use.
   canon(g).  This holds at any size, far beyond the oracle's reach.
 * Oracle fuzz: component indices and bundles with an antisymmetric metric
   or none at all, at n <= 8, against the brute-force oracle.
+* The fast engine's shortcuts, each checked where it is taken: a zero
+  check it skips would have passed, and each renaming of unconsumed
+  labels is a label-group element that fixes every consumed label.
 
 Every test is seeded, so a failure reproduces.
 """
@@ -14,9 +17,13 @@ Every test is seeded, so a failure reproduces.
 import dataclasses
 import random
 
+import pytest
+
+from tensorcanon import canon_fast
 from tensorcanon.bench import FAMILIES, generate
 from tensorcanon.canon_baseline import butler_portugal
 from tensorcanon.frontend import Registry, build_problem, factor_text, parse
+from tensorcanon.label_context import GroupCode
 from tensorcanon.oracle import brute_force_canonicalize, enumerate_group, enumerate_label_group
 from tensorcanon.signed_perm import SignedPermutation, compose, identity
 
@@ -148,14 +155,23 @@ def test_double_coset_invariance_on_bench_families():
     assert checked >= 60, checked
 
 
-def test_double_coset_invariance_on_mixed_bundles():
+def mixed_bundle_problems():
+    """The 600 seeded mixed-bundle problems, with the generator that made them.
+
+    The generator is shared with the moves drawn for each problem, so a
+    caller keeps the sequence only by drawing the same moves.
+    """
     rng = random.Random(5)
-    kinds = set()
     for trial in range(600):
         decls, expr = random_mixed_problem(rng, 16)
-        prob = make_problem(decls, expr)
+        yield rng, make_problem(decls, expr), (trial, decls, expr)
+
+
+def test_double_coset_invariance_on_mixed_bundles():
+    kinds = set()
+    for rng, prob, context in mixed_bundle_problems():
         kinds.update((c.kind, c.metric) for c in prob.classes)
-        assert_coset_invariant(prob, rng, 3, prob.n <= 12, (trial, decls, expr))
+        assert_coset_invariant(prob, rng, 3, prob.n <= 12, context)
     assert {("component", None), ("dummy", "none"), ("dummy", "antisymmetric")} <= kinds
 
 
@@ -184,3 +200,104 @@ def test_double_coset_invariance_on_large_riemann_contractions():
         for trial in range(3):
             prob = generate("riemann", size, trial).problem
             assert_coset_invariant(prob, rng, 3, False, ("riemann", size, trial))
+
+
+def small_bench_problems():
+    """Every bench family at sizes 2..8, trials 0..7."""
+    for family in FAMILIES:
+        for size in range(2, 9):
+            for trial in range(8):
+                yield generate(family, size, trial).problem
+
+
+@pytest.fixture
+def skipped_zero_checks(monkeypatch):
+    """Run each zero check the fast engine skips, and count them.
+
+    The engine skips a configuration's check when ``prop`` is still the
+    array its parent passed.  Every configuration is updated just before
+    its check would run, so an update that no check follows, before the
+    next update or the end of the search, marks a skipped check; it is
+    run here on the updated array and must find no zero.
+    """
+    update = canon_fast.update_propagated_symmetries
+    zero = canon_fast.zero_due_to_propagated_symmetries
+    pending = []
+    counts = {"skipped": 0, "run": 0}
+
+    def settle():
+        if pending:
+            args = pending.pop()
+            assert not zero(*args), args
+            counts["skipped"] += 1
+
+    def audited_update(instances, g, s, ctx, subsets, prop, next_odd):
+        settle()
+        new = update(instances, g, s, ctx, subsets, prop, next_odd)
+        pending.append((g, s, ctx, subsets, new))
+        return new
+
+    def audited_zero(*args):
+        pending.clear()
+        counts["run"] += 1
+        return zero(*args)
+
+    monkeypatch.setattr(canon_fast, "update_propagated_symmetries", audited_update)
+    monkeypatch.setattr(canon_fast, "zero_due_to_propagated_symmetries", audited_zero)
+    yield counts, settle
+
+
+def test_skipped_zero_checks_find_no_zero(skipped_zero_checks):
+    counts, settle = skipped_zero_checks
+    for prob in small_bench_problems():
+        prob.canonicalize()
+        settle()
+    for rng, prob, context in mixed_bundle_problems():
+        assert_coset_invariant(prob, rng, 3, False, context)
+        settle()
+    assert counts["skipped"] > counts["run"] > 0, counts
+
+
+def test_renamings_are_label_elements_fixing_consumed_labels(monkeypatch):
+    rename = canon_fast.first_appearance_renaming
+    seen = []
+
+    def recorded(ctx, labels):
+        lam = rename(ctx, labels)
+        seen.append((ctx, labels, lam))
+        return lam
+
+    monkeypatch.setattr(canon_fast, "first_appearance_renaming", recorded)
+    rng = random.Random(8)
+    problems = [prob for prob in small_bench_problems() if prob.n <= 10]
+    problems += [make_problem(*random_mixed_problem(rng, 10)) for _ in range(600)]
+    moved = 0
+    kinds = set()
+    for prob in problems:
+        seen.clear()
+        prob.canonicalize()
+        group = set(enumerate_label_group(prob.classes, prob.n))
+        for ctx, labels, lam in seen:
+            if lam is None:
+                continue
+            moved += 1
+            kinds.update(c.kind for c in prob.classes if c.kind != "free")
+            assert lam in group, (ctx, labels, lam)
+            assert lam.sign == 1
+            # consumed labels, those of the filled slots among them
+            for x in range(1, prob.n + 1):
+                if ctx.groups[x] == GroupCode.NONE or x not in labels:
+                    assert lam[x] == x, (ctx, labels, lam, x)
+            # after renaming, each class meets its pairs (by lower leg)
+            # and its component labels in increasing order
+            met = {}
+            for y in (lam[x] for x in labels):
+                if ctx.groups[y] == GroupCode.NONE:
+                    continue
+                block = min(y, ctx.partner[y]) if ctx.partner[y] else y
+                blocks = met.setdefault(ctx.values[block], [])
+                if block not in blocks:
+                    blocks.append(block)
+            for blocks in met.values():
+                assert blocks == sorted(blocks), (ctx, labels, lam)
+    assert moved > 0 and kinds == {"component", "dummy"}
