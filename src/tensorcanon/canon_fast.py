@@ -3,8 +3,11 @@
 The engine fixes one slot per pass, left to right.  A configuration is
 a point g of the double coset L·g_init·S, the current signed
 slot->label assignment, carried with the slot permutation s that
-reached it from the initial assignment.  Each pass renumbers every
-child's unconsumed labels by first appearance, then keeps one
+reached it from the initial assignment.  Both are kept as plain image
+tuples in the array form of :mod:`~tensorcanon.signed_perm` (length
+n+2, sign pair last), which the helpers below read directly; only the
+result is wrapped back into a signed permutation.  Each pass renumbers
+every child's unconsumed labels by first appearance, then keeps one
 configuration per signed g, the one with the least s (see
 :func:`canonicalize` for why that loses no result).  For each slot the
 engine finds every way of bringing the least reachable label into that
@@ -23,9 +26,10 @@ may read every entry, whichever configuration recorded it.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .label_context import GroupCode, first_appearance_renaming, update_context, label_permutation_from_group
-from .signed_perm import SignedPermutation, identity, from_signed_cycles, compose, preimage
+from .signed_perm import SignedPermutation, from_signed_cycles, compose
 
 
 class CanonResult:
@@ -80,8 +84,7 @@ def get_least_value_instances(i, orbit, configs, ctx, prop):
     values = ctx.values
     least_value = n
     instances = [[] for _ in configs]
-    for k, c in enumerate(configs):
-        gi, si = c[0].images, c[1].images
+    for k, (gi, si, *_) in enumerate(configs):
         for p in orbit:
             q = p
             entry = prop[si[p - 1]]
@@ -114,12 +117,12 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
     outside a subset, or already propagated) the result is ``prop``
     itself, so callers must not mutate it.
     """
-    gi, si, groups = g.images, s.images, ctx.groups
+    groups = ctx.groups
     new = None
     memo = {}
     for p, q in instances:
-        label = gi[q - 1]
-        sq = si[q - 1]
+        label = g[q - 1]
+        sq = s[q - 1]
         if groups[label] == _NONE or subsets[q] == 0 or prop[sq] != 0:
             continue
         if new is None:
@@ -138,9 +141,8 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
             continue
         new[sq] = entry
         if groups[label] in _DUMMY_CODES:
-            pslot = preimage(g, ctx.partner[label])
             pentry = _sign(entry) * (abs(entry) + 1)
-            tgt = s[pslot]
+            tgt = s[g.index(ctx.partner[label])]  # s at the partner's slot
             if new[tgt] == 0 or abs(pentry) < abs(new[tgt]):
                 new[tgt] = pentry
     return prop if new is None else _remove_singletons(new)
@@ -169,11 +171,11 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
     dummy-pair rule fires at the later of the two legs, as a scan in
     slot order would find it.
     """
-    gi, si, groups = g.images, s.images, ctx.groups
+    groups = ctx.groups
     entries = subsets.entries
     # the propagated family of each slot, slot p at index p-1
-    syms = [prop[x] for x in si[: ctx.n]]
-    for p, (sym, label) in enumerate(zip(syms, gi), 1):
+    syms = [prop[x] for x in s[:-2]]
+    for p, (sym, label) in enumerate(zip(syms, g), 1):
         if sym == 0:
             continue
         group = groups[label]
@@ -191,13 +193,18 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                 return True
         if not (group == _S_DUMMY and sym < 0 or group == _A_DUMMY and sym > 0):
             continue
-        q = gi.index(ctx.partner[label]) + 1
+        q = g.index(ctx.partner[label]) + 1
         if q < p and syms[q - 1] == sym:
             return True
     return False
 
 
-def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop, lpfgs):
+def _moves(perm):
+    """``[(x, perm[x]), ...]`` over the points ``perm`` moves, sign pair included."""
+    return [(x, y) for x, y in enumerate(perm.images, 1) if x != y]
+
+
+def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop, ordered, lpfgs, reps):
     """Extend ``out`` with the slot-i descendants of configuration (g, s).
 
     Instances landing in an already-visited symmetric subset are skipped:
@@ -211,25 +218,28 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     being filled and the subset holding the supplied label's partner.
 
     ``lpfgs`` maps a label to its ``label_permutation_from_group(ctx,
-    label, least_value)``; one dict shared by a whole slot pass builds
-    each label's permutation once.
+    label, least_value)`` and the points that moves, and ``reps`` maps an
+    orbit slot p to the points ``S.coset_rep(i, p)`` moves; one dict each,
+    shared by a whole slot pass, builds each of them once.
 
-    Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked)``.
+    Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked,
+    ordered)``, built by patching copies of g and s on the points that
+    stilde and ltilde move, and sharing s when stilde is the identity.
     ``checked`` is ``prop``, which this configuration has passed the
     zero check against, or None for a child that took its label through
-    an exchange (p != q): such a child must be checked again.
+    an exchange (p != q): such a child must be checked again.  The child
+    is ``ordered`` (its unconsumed labels already in first-appearance
+    order) when this configuration is and the child fills slot i in
+    place (p == q == i); see :func:`canonicalize` for why.
     """
     visited = set()
-    n = ctx.n
     entries = subsets.entries
-    gp = (0,) + g.images  # 1-padded, so that gp[x] is the image of x
-    sp = (0,) + s.images
+    partner = ctx.partner
     for p, q in instances:
-        label = g[q]
+        label = g[q - 1]
         if entries[p] != 0:
             if ctx.groups[label] in _DUMMY_CODES:
-                pslot = preimage(g, ctx.partner[label])
-                far = abs(entries[pslot])
+                far = abs(entries[g.index(partner[label]) + 1])
             else:
                 far = -1
             key = (abs(entries[p]), far)
@@ -238,30 +248,50 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
             visited.add(key)
         lpfg = lpfgs.get(label)
         if lpfg is None:
-            lpfg = lpfgs[label] = label_permutation_from_group(ctx, label, least_value)
+            perm = label_permutation_from_group(ctx, label, least_value)
+            lpfg = lpfgs[label] = (perm, _moves(perm))
         if p != q:
             # q supplies the label through an exchange with slot p; fold
             # the (possibly signed) label swap in before relabelling
-            eps = _sign(prop[s[q]])
-            swap = from_signed_cycles(n, eps, [(label, g[p])])
-            ltilde = compose(lpfg, swap)
+            eps = _sign(prop[s[q - 1]])
+            swap = from_signed_cycles(ctx.n, eps, [(label, g[p - 1])])
+            relabel = _moves(compose(lpfg[0], swap))
         else:
-            ltilde = lpfg
-        lt = (0,) + ltilde.images
-        st = S.coset_rep(i, p).images
+            relabel = lpfg[1]
+        slots = reps.get(p)
+        if slots is None:
+            slots = reps[p] = _moves(S.coset_rep(i, p))
+        child = list(g)
+        if slots:
+            child_s = list(s)
+            for x, y in slots:
+                child[x - 1] = g[y - 1]
+                child_s[x - 1] = s[y - 1]
+            child_s = tuple(child_s)
+        else:
+            child_s = s
+        if relabel:
+            # find every relabelled point before moving any of them
+            at = [child.index(x) for x, _ in relabel]
+            for k, (_, y) in zip(at, relabel):
+                child[k] = y
         out.append((
-            SignedPermutation([lt[gp[x]] for x in st]),
-            SignedPermutation([sp[x] for x in st]),
+            tuple(child),
+            child_s,
             prop if p == q else None,
+            ordered and p == q == i,
         ))
     return out
 
 
 def _renamed(ctx, config, i):
-    """``config`` with its unconsumed labels renumbered by first appearance."""
-    g, s, checked = config
-    lam = first_appearance_renaming(ctx, g.images[i:-2])
-    return config if lam is None else (compose(lam, g), s, checked)
+    """``config`` with its unconsumed labels renumbered by first appearance, marked ordered."""
+    g, s, checked, _ = config
+    lam = first_appearance_renaming(ctx, g[i:-2])
+    if lam is not None:
+        lp = (0,) + lam.images  # 1-padded, so that lp[x] is the image of x
+        g = tuple([lp[x] for x in g])
+    return g, s, checked, True
 
 
 def canonicalize(g_init, S, ctx, subsets, trace=None):
@@ -277,11 +307,10 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
 
     Work that repeats across configurations is done once: each slot
     pass builds ``label_permutation_from_group`` once per supplied label
-    (the context and the least value are fixed within a pass); and when
-    ``S`` is a :func:`~tensorcanon.perm_group.direct_product`, as
-    ``build_problem`` makes it, its trees keep every coset
-    representative they hand out, so each ``S.coset_rep(i, p)`` is built
-    once per search.
+    (the context and the least value are fixed within a pass), and each
+    ``S.coset_rep(i, p)`` once, each with the list of points it moves.
+    A child is its parent's image tuples patched on those points, and
+    shares its parent's s when the representative is the identity.
     ``prop`` is replaced, never mutated, and an update that adds no entry
     returns it as it was.
 
@@ -358,6 +387,26 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     which passed.  An exchange child is not of that form: its swap of
     two labels comes from a propagated slot symmetry, not from the label
     group, so it is checked again.
+
+    A child marked ``ordered`` is not renamed, because its λ would be
+    the identity.  Every renamed child is ordered, and a child of an
+    ordered parent stays ordered when it fills slot i in place: p == q
+    == i, so stilde is the identity.  Its supplied label is then
+    ``least_value`` or that label's partner, so its ltilde at most swaps
+    the two legs of the pair being consumed.  The reasons:
+
+    * Each class's unconsumed labels are a run starting at the class
+      value.  In the ordered parent the block at slot i (its label's
+      dummy pair or component label) is the first block met in slots
+      i..n, so it is the first block of its class's run.  It holds the
+      least value, so it is the block of ``least_value``.  A label of
+      group NONE holds its own value, so then the label is
+      ``least_value`` itself.
+    * The child's unconsumed blocks in slots i+1..n therefore appear in
+      the parent's order minus the consumed block.  ``update_context``
+      removes that same block from the run.  It raises the rest of the
+      block's class uniformly, so the classes keep their order.  So the
+      child's first-appearance order is again the run.
     """
     n = ctx.n
 
@@ -371,37 +420,39 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
         return finish(CanonResult.zero(), [])
     prop = [0] * (n + 1)
     next_odd = itertools.count(1, 2).__next__
-    configs = [(g_init, identity(n), None)]
+    configs = [(g_init.images, tuple(range(1, n + 3)), None, False)]
     counts = []
     for i in range(1, n + 1):
         orbit = S.orbit_of(i)
         least_value, instances = get_least_value_instances(i, orbit, configs, ctx, prop)
         out = []
         lpfgs = {}
-        for (g, s, checked), inst in zip(configs, instances):
+        reps = {}
+        for (g, s, checked, ordered), inst in zip(configs, instances):
             if not inst:
                 continue
             prev = prop
             prop = update_propagated_symmetries(inst, g, s, ctx, subsets, prop, next_odd)
             if trace is not None:
                 trace.setdefault("prop_updates", []).append(
-                    (list(prev), list(prop), s.images, [ctx.values[g[q]] for _, q in inst])
+                    (list(prev), list(prop), s, [ctx.values[g[q - 1]] for _, q in inst])
                 )
             if prop is not checked and zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                 return finish(CanonResult.zero(), counts)
-            append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop, lpfgs)
+            append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop, ordered, lpfgs, reps)
         ctx = update_context(ctx, least_value)
         if len(out) > 1:
-            out = [_renamed(ctx, c, i) for c in out]
-        out.sort(key=lambda c: (c[0].images, c[1].images))
+            out = [c if c[3] else _renamed(ctx, c, i) for c in out]
+        out.sort(key=itemgetter(0, 1))
         configs = []
         for c in out:
             if configs and configs[-1][0] == c[0]:
                 continue
             configs.append(c)
         for a, b in zip(configs, configs[1:]):
-            if a[0].images[:n] == b[0].images[:n] and a[0].sign != b[0].sign:
+            # kept arrangements are distinct, so equal slots mean opposite signs
+            if a[0][:n] == b[0][:n]:
                 counts.append(len(configs))
                 return finish(CanonResult.zero(), counts)
         counts.append(len(configs))
-    return finish(CanonResult.canonical(configs[0][0]), counts)
+    return finish(CanonResult.canonical(SignedPermutation(configs[0][0])), counts)

@@ -9,7 +9,9 @@ Subcommands::
                              [--sizes LIST] [--cap N]
 
 Bad declarations, expressions or arguments print one ``error: ...``
-line on stderr and exit with status 2.
+line on stderr and exit with status 2, and so does an ``oracle-check``
+that checked no instance because every case is over ``--max-slots`` or
+``--cap``.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ def _cmd_oracle_check(args):
                             f"MISMATCH {family} size={size} trial={trial} engine={engine}: "
                             f"{result!r} != oracle {expected!r}\n  expr: {case.expression}",
                         )
+    if not checked:
+        raise UsageError(f"no instance checked: every case is over --max-slots {args.max_slots} or --cap {args.cap}")
     print(f"checked {checked} instances, {mismatches} mismatches")
     return 1 if mismatches else 0
 

@@ -115,11 +115,6 @@ def inverse(p):
     return SignedPermutation(imgs)
 
 
-def preimage(p, point):
-    """The point mapped to ``point`` by p (i.e. inverse image)."""
-    return p.images.index(point) + 1
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 

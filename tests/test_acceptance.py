@@ -123,7 +123,7 @@ def test_golden_propagated_symmetries_arrays():
     prob = make_problem("tensor T rank=6 sym=3..6", "T_{1 1 a b}^{b c}")
     inst = [(p, p) for p in range(1, prob.n + 1)]
     prop = update_propagated_symmetries(
-        inst, prob.g_init, identity(prob.n), prob.ctx, prob.subsets,
+        inst, prob.g_init.images, identity(prob.n).images, prob.ctx, prob.subsets,
         [0] * (prob.n + 1), counter(),
     )
     assert prop[1:] == [0, 0, 0, 1, 1, 0]
@@ -136,7 +136,7 @@ def test_golden_propagated_symmetries_arrays():
     )
     inst = [(p, p) for p in range(1, prob.n + 1)]
     prop = update_propagated_symmetries(
-        inst, prob.g_init, identity(prob.n), prob.ctx, prob.subsets,
+        inst, prob.g_init.images, identity(prob.n).images, prob.ctx, prob.subsets,
         [0] * (prob.n + 1), counter(),
     )
     assert prop[1:] == [0, 0, 1, 1, 0, 0, 2, 2, 0, 0]
@@ -151,11 +151,11 @@ def test_golden_propagated_symmetries_arrays():
     next_odd = counter()
     prop = [0] * (prob.n + 1)
     prop = update_propagated_symmetries(
-        [(3, 3), (4, 4)], prob.g_init, identity(prob.n), prob.ctx, prob.subsets,
+        [(3, 3), (4, 4)], prob.g_init.images, identity(prob.n).images, prob.ctx, prob.subsets,
         prop, next_odd,
     )
     prop = update_propagated_symmetries(
-        [(5, 5), (6, 6)], prob.g_init, identity(prob.n), prob.ctx, prob.subsets,
+        [(5, 5), (6, 6)], prob.g_init.images, identity(prob.n).images, prob.ctx, prob.subsets,
         prop, next_odd,
     )
     assert prop[1:] == [0, 0, 1, 1, 3, 3, 4, 0, 4, 0]

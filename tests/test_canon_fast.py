@@ -41,7 +41,7 @@ def test_propagation_dummy_inside_symmetric_subset():
     n = prob.n
     inst = [(p, p) for p in range(1, n + 1)]
     prop = update_propagated_symmetries(
-        inst, prob.g_init, identity(n), prob.ctx, prob.subsets, [0] * (n + 1), odd_counter()
+        inst, prob.g_init.images, identity(n).images, prob.ctx, prob.subsets, [0] * (n + 1), odd_counter()
     )
     assert prop[1:] == [0, 0, 0, 1, 1, 0]
 
@@ -58,11 +58,11 @@ def test_propagation_across_factors_conflicting_sign():
     n = prob.n
     inst = [(p, p) for p in range(1, n + 1)]
     prop = update_propagated_symmetries(
-        inst, prob.g_init, identity(n), prob.ctx, prob.subsets, [0] * (n + 1), odd_counter()
+        inst, prob.g_init.images, identity(n).images, prob.ctx, prob.subsets, [0] * (n + 1), odd_counter()
     )
     assert prop[1:] == [0, 0, 1, 1, 0, 0, 2, 2, 0, 0]
     assert zero_due_to_propagated_symmetries(
-        prob.g_init, identity(n), prob.ctx, prob.subsets, prop
+        prob.g_init.images, identity(n).images, prob.ctx, prob.subsets, prop
     )
     assert prob.canonicalize().is_zero
 
@@ -83,11 +83,11 @@ def test_propagation_splits_by_value():
     # component labels (value 5), then the dummies (value 7)
     comp_inst = [(3, 3), (4, 4)]
     prop = update_propagated_symmetries(
-        comp_inst, prob.g_init, identity(n), prob.ctx, prob.subsets, prop, next_odd
+        comp_inst, prob.g_init.images, identity(n).images, prob.ctx, prob.subsets, prop, next_odd
     )
     dummy_inst = [(5, 5), (6, 6)]
     prop = update_propagated_symmetries(
-        dummy_inst, prob.g_init, identity(n), prob.ctx, prob.subsets, prop, next_odd
+        dummy_inst, prob.g_init.images, identity(n).images, prob.ctx, prob.subsets, prop, next_odd
     )
     assert prop[1:] == [0, 0, 1, 1, 3, 3, 4, 0, 4, 0]
     assert not prob.canonicalize().is_zero
@@ -99,7 +99,7 @@ def test_update_without_new_entries_returns_prop_unchanged():
     # the b legs are already propagated, so no instance adds an entry
     _, _, prob = make_problem("tensor T rank=6 sym=3..6", "T_{1 1 a b}^{b c}")
     n = prob.n
-    g, s = prob.g_init, identity(n)
+    g, s = prob.g_init.images, identity(n).images
     next_odd = odd_counter()
     prop = update_propagated_symmetries(
         [(4, 4), (5, 5)], g, s, prob.ctx, prob.subsets, [0] * (n + 1), next_odd
@@ -116,7 +116,7 @@ def _zero_check(prob, entries):
     # prop indexed by initial slot; with s the identity that is the slot
     n = prob.n
     return zero_due_to_propagated_symmetries(
-        prob.g_init, identity(n), prob.ctx, prob.subsets, [0] + entries
+        prob.g_init.images, identity(n).images, prob.ctx, prob.subsets, [0] + entries
     )
 
 
@@ -273,9 +273,9 @@ def test_exchange_children_are_checked_again(monkeypatch):
     append = canon_fast.append_non_redundant_instances
     markers = {True: [], False: []}
 
-    def recorded(out, instances, g, s, least_value, S, i, ctx, subsets, prop, lpfgs):
+    def recorded(out, instances, g, s, least_value, S, i, ctx, subsets, prop, *rest):
         before = len(out)
-        append(out, instances, g, s, least_value, S, i, ctx, subsets, prop, lpfgs)
+        append(out, instances, g, s, least_value, S, i, ctx, subsets, prop, *rest)
         exchanges = {p != q for p, q in instances}
         if len(exchanges) == 1:
             markers[exchanges.pop()] += [c[2] is prop if c[2] is not None else None for c in out[before:]]

@@ -34,8 +34,10 @@ def test_canon_input_error_is_one_line_and_status_2(argv, capsys):
     (["bench", "--sizes", ","], "error: --sizes: no items\n"),
     (["oracle-check", "--sizes", ","], "error: --sizes: no items\n"),
     (["bench", "--sizes", "2", "--out", "no-such-dir/x.csv"], "error: --out: cannot write 'no-such-dir/x.csv': "),
+    (["oracle-check", "--sizes", "11"], "error: no instance checked: every case is over --max-slots 10 or --cap "),
 ], ids=["engines", "sizes", "families", "bench-sizes-0", "oracle-sizes-negative", "bench-trials",
-        "oracle-trials", "time-budget", "max-slots", "cap", "bench-sizes-empty", "oracle-sizes-empty", "out"])
+        "oracle-trials", "time-budget", "max-slots", "cap", "bench-sizes-empty", "oracle-sizes-empty", "out",
+        "oracle-nothing-checked"])
 def test_bad_argument_is_one_line_and_status_2(argv, message, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

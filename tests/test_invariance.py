@@ -8,8 +8,9 @@ the benchmark families never use.
 * Oracle fuzz: component indices and bundles with an antisymmetric metric
   or none at all, at n <= 8, against the brute-force oracle.
 * The fast engine's shortcuts, each checked where it is taken: a zero
-  check it skips would have passed, and each renaming of unconsumed
-  labels is a label-group element that fixes every consumed label.
+  check it skips would have passed, a renaming it skips would have been
+  the identity, and each renaming of unconsumed labels is a label-group
+  element that fixes every consumed label.
 
 Every test is seeded, so a failure reproduces.
 """
@@ -23,7 +24,7 @@ from tensorcanon import canon_fast
 from tensorcanon.bench import FAMILIES, generate
 from tensorcanon.canon_baseline import butler_portugal
 from tensorcanon.frontend import Registry, build_problem, factor_text, parse
-from tensorcanon.label_context import GroupCode
+from tensorcanon.label_context import GroupCode, first_appearance_renaming, update_context
 from tensorcanon.oracle import brute_force_canonicalize, enumerate_group, enumerate_label_group
 from tensorcanon.signed_perm import SignedPermutation, compose, identity
 
@@ -256,6 +257,33 @@ def test_skipped_zero_checks_find_no_zero(skipped_zero_checks):
         assert_coset_invariant(prob, rng, 3, False, context)
         settle()
     assert counts["skipped"] > counts["run"] > 0, counts
+
+
+def test_children_marked_ordered_need_no_renaming(monkeypatch):
+    """Each child the fast engine marks ordered is already in first-appearance order.
+
+    The engine does not rename such a child, so renaming its unfilled
+    slots against the narrowed context must give None.
+    """
+    append = canon_fast.append_non_redundant_instances
+    counts = {"audited": 0}
+
+    def audited(out, instances, g, s, least_value, S, i, ctx, *rest):
+        before = len(out)
+        append(out, instances, g, s, least_value, S, i, ctx, *rest)
+        narrowed = update_context(ctx, least_value)
+        for child, _s, _checked, ordered in out[before:]:
+            if ordered:
+                assert first_appearance_renaming(narrowed, child[i:-2]) is None, (i, g, child)
+                counts["audited"] += 1
+        return out
+
+    monkeypatch.setattr(canon_fast, "append_non_redundant_instances", audited)
+    for prob in small_bench_problems():
+        prob.canonicalize()
+    for rng, prob, context in mixed_bundle_problems():
+        assert_coset_invariant(prob, rng, 3, False, context)
+    assert counts["audited"] > 0, counts
 
 
 def test_renamings_are_label_elements_fixing_consumed_labels(monkeypatch):

@@ -7,7 +7,6 @@ from tensorcanon.signed_perm import (
     from_signed_cycles,
     compose,
     inverse,
-    preimage,
     parse_cycles,
     format_cycles,
     parse_array,
@@ -67,12 +66,6 @@ def test_negated_adjacent_under_lex():
     assert g < h
     # nothing with the same ordinary part sorts between +g and -g
     assert h.images == (3, 1, 2, 5, 4)
-
-
-def test_preimage():
-    p = parse_array("<3,1,2,4>|-")
-    for i in range(1, 7):
-        assert p[preimage(p, i)] == i
 
 
 def test_parse_format_cycles_roundtrip():
