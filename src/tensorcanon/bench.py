@@ -158,10 +158,16 @@ def generate(family, size, trial=0):
     return BenchCase(family, size, trial, seed, expr, decls, registry, monomial, problem)
 
 
+# The largest budget :func:`budget` takes (about 31 years);
+# signal.setitimer raises OverflowError at 1e10 s (Linux, Python 3.11).
+MAX_BUDGET_S = 1e9
+
+
 @contextmanager
 def budget(seconds):
     """Raise :class:`TimeoutError` in the body after ``seconds`` of wall time
-    (``SIGALRM``, Unix); ``None`` sets no timer, a budget <= 0 raises at once."""
+    (``SIGALRM``, Unix); ``None`` sets no timer, a budget <= 0 raises at once.
+    ``seconds`` must not exceed ``MAX_BUDGET_S``."""
     if seconds is None:
         yield
         return
@@ -275,7 +281,7 @@ def run_bench(families, sizes, trials, engines, out, time_budget=10.0):
                 with budget(time_budget):
                     cases = [generate(family, size, t) for t in range(trials)]
             except TimeoutError:
-                print(f"# {family}: set-up over {time_budget:.1f}s at size {size}, skipping larger sizes", file=sys.stderr)
+                print(f"# {family}: set-up over {time_budget:g}s at size {size}, skipping larger sizes", file=sys.stderr)
                 break
             for engine in list(live):
                 worst = 0.0
@@ -286,7 +292,7 @@ def run_bench(families, sizes, trials, engines, out, time_budget=10.0):
                         worst = max(worst, row["elapsed_us"] / 1e6)
                 except TimeoutError:
                     live.remove(engine)
-                    print(f"# {family}/{engine}: over {time_budget:.1f}s at size {size}, skipping larger sizes", file=sys.stderr)
+                    print(f"# {family}/{engine}: over {time_budget:g}s at size {size}, skipping larger sizes", file=sys.stderr)
                     continue
                 series.setdefault((family, engine), {})[size] = worst
     exponents = {}

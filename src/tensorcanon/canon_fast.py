@@ -218,9 +218,12 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     being filled and the subset holding the supplied label's partner.
 
     ``lpfgs`` maps a label to its ``label_permutation_from_group(ctx,
-    label, least_value)`` and the points that moves, and ``reps`` maps an
-    orbit slot p to the points ``S.coset_rep(i, p)`` moves; one dict each,
-    shared by a whole slot pass, builds each of them once.
+    label, least_value)`` and the points that moves; one dict, shared by
+    a whole slot pass, builds each of them once.  ``reps`` maps an orbit
+    slot p to ``S.tree(i).moves(p)``, the points slot i's coset
+    representative for p moves.  The tree builds each representative
+    once for the whole declaration; the per-pass dict only saves
+    shifting its moved points into place again.
 
     Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked,
     ordered)``, built by patching copies of g and s on the points that
@@ -260,7 +263,7 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
             relabel = lpfg[1]
         slots = reps.get(p)
         if slots is None:
-            slots = reps[p] = _moves(S.coset_rep(i, p))
+            slots = reps[p] = S.tree(i).moves(p)
         child = list(g)
         if slots:
             child_s = list(s)
@@ -307,10 +310,13 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
 
     Work that repeats across configurations is done once: each slot
     pass builds ``label_permutation_from_group`` once per supplied label
-    (the context and the least value are fixed within a pass), and each
-    ``S.coset_rep(i, p)`` once, each with the list of points it moves.
-    A child is its parent's image tuples patched on those points, and
-    shares its parent's s when the representative is the identity.
+    (the context and the least value are fixed within a pass), with the
+    list of points it moves.  Coset representatives and the points they
+    move are built once per declaration and kept on its chain's trees
+    (see :class:`~tensorcanon.perm_group.SchreierTree`); a pass reads
+    them as ``S.tree(i).moves(p)``.  A child is its parent's image
+    tuples patched on those points, and shares its parent's s when the
+    representative is the identity.
     ``prop`` is replaced, never mutated, and an update that adds no entry
     returns it as it was.
 

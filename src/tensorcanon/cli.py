@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import FAMILIES, generate, run_bench, run_case, oracle_result
+from .bench import FAMILIES, MAX_BUDGET_S, generate, run_bench, run_case, oracle_result
 from .canon_baseline import butler_portugal
 from .frontend import FrontendError, Registry, parse, build_problem, render
 
@@ -96,6 +96,8 @@ def _cmd_bench(args):
     engines = _parse_list("--engines", args.engines, known=("fast", "baseline"))
     _positive("--trials", args.trials)
     _positive("--time-budget", args.time_budget)
+    if not args.time_budget <= MAX_BUDGET_S:
+        raise UsageError(f"--time-budget: must be at most {MAX_BUDGET_S:g}, got {args.time_budget:g}")
     try:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
     except OSError as exc:

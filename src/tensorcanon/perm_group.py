@@ -8,6 +8,9 @@ slots".
 
 Schreier trees are built breadth-first with generators tried in
 ascending index order, which makes coset representatives deterministic.
+Each tree builds a representative, and the points it moves, the first
+time it is asked for and keeps them; the trees of a product keep none
+of their own, but shift the ones their block's tree keeps.
 
 A group acting on consecutive slot blocks that share only the sign (the
 slot group of a tensor monomial, one block per factor) is assembled by
@@ -22,7 +25,17 @@ from .signed_perm import SignedPermutation, identity, from_signed_cycles, compos
 
 
 class SchreierTree:
-    """BFS orbit tree rooted at ``root`` over a fixed generator list."""
+    """BFS orbit tree rooted at ``root`` over a fixed generator list.
+
+    The tree is the one cache of its coset representatives: :meth:`rep`
+    builds each the first time it is asked for and keeps it, and
+    :meth:`moves` keeps the points each one moves.  Both are
+    deterministic and immutable for a fixed generator list, and
+    Schreier-Sims builds a new tree whenever a level's generators
+    change, so a memo never outlives the generators it was built from.
+    A declaration's chain keeps its trees, so every monomial that uses
+    the declaration shares them.
+    """
 
     def __init__(self, root, gens, degree):
         self.root = root
@@ -30,6 +43,8 @@ class SchreierTree:
         # orbit point -> (previous point, generator mapping previous ->
         # point); the root maps to None
         self._edges = edges = {root: None}
+        self._reps = {}
+        self._moves = {}
         self.orbit = [root]
         frontier = [root]
         while frontier:
@@ -51,6 +66,19 @@ class SchreierTree:
 
     def rep(self, target):
         """A group element u with u[root] == target."""
+        u = self._reps.get(target)
+        if u is None:
+            u = self._reps[target] = self._walk(target)
+        return u
+
+    def moves(self, target):
+        """``((x, u[x]), ...)`` over the points ``u = rep(target)`` moves, sign pair included."""
+        m = self._moves.get(target)
+        if m is None:
+            m = self._moves[target] = tuple((x, y) for x, y in enumerate(self.rep(target).images, 1) if x != y)
+        return m
+
+    def _walk(self, target):
         if target not in self._edges:
             raise KeyError(f"point {target} not in orbit of {self.root}")
         u = identity(self.degree - 2)
@@ -167,9 +195,10 @@ def schreier_sims(n, generators):
             h = compose(inverse(trees[lvl].rep(t)), h)
         return h
 
+    # Every change to a level's generators rebuilds its tree, so each
+    # level is verified against the tree of its current generators.
     i = deg
     while i >= 1:
-        rebuild(i)
         clean = True
         for t in trees[i].orbit:
             u_t = trees[i].rep(t)
@@ -211,20 +240,19 @@ def _shift(g, offset, n):
 class _ShiftedTree:
     """A block's Schreier tree read with its points moved up by ``offset``.
 
-    Coset representatives are the block's own, shifted the first time
-    each is asked for and kept, so assembling a product builds nothing
-    per orbit point and a search that revisits a point builds its
-    representative once.
+    Coset representatives and their moved points are the block's own,
+    cached once on the block's tree and shifted on each call: local
+    points 1..k map to offset+1..offset+k and the local sign pair k+1,
+    k+2 to n+1, n+2.  :meth:`moves` costs one step per moved point.
     """
 
-    __slots__ = ("_tree", "_offset", "_n", "root", "_reps")
+    __slots__ = ("_tree", "_offset", "_n", "root")
 
     def __init__(self, tree, offset, n):
         self._tree = tree
         self._offset = offset
         self._n = n
         self.root = tree.root + offset
-        self._reps = {}
 
     @property
     def orbit(self):
@@ -236,13 +264,22 @@ class _ShiftedTree:
     def __len__(self):
         return len(self._tree)
 
+    def _local(self, target):
+        if target not in self:
+            raise KeyError(f"point {target} not in orbit of {self.root}")
+        return target - self._offset
+
     def rep(self, target):
-        u = self._reps.get(target)
-        if u is None:
-            if target not in self:
-                raise KeyError(f"point {target} not in orbit of {self.root}")
-            u = self._reps[target] = _shift(self._tree.rep(target - self._offset), self._offset, self._n)
-        return u
+        return _shift(self._tree.rep(self._local(target)), self._offset, self._n)
+
+    def moves(self, target):
+        offset = self._offset
+        k = self._tree.degree - 2
+        up = self._n - k  # the local sign pair's shift
+        return tuple(
+            (x + offset, y + offset) if x <= k else (x + up, y + up)
+            for x, y in self._tree.moves(self._local(target))
+        )
 
 
 class _ProductGens:

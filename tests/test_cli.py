@@ -29,6 +29,8 @@ def test_canon_input_error_is_one_line_and_status_2(argv, capsys):
     (["bench", "--sizes", "2", "--trials", "0"], "error: --trials: must be positive, got 0\n"),
     (["oracle-check", "--trials", "-2"], "error: --trials: must be positive, got -2\n"),
     (["bench", "--sizes", "2", "--time-budget", "0"], "error: --time-budget: must be positive, got 0\n"),
+    (["bench", "--sizes", "2", "--time-budget", "inf"], "error: --time-budget: must be at most 1e+09, got inf\n"),
+    (["bench", "--sizes", "2", "--time-budget", "1e10"], "error: --time-budget: must be at most 1e+09, got 1e+10\n"),
     (["oracle-check", "--max-slots", "0"], "error: --max-slots: must be positive, got 0\n"),
     (["oracle-check", "--cap", "0"], "error: --cap: must be positive, got 0\n"),
     (["bench", "--sizes", ","], "error: --sizes: no items\n"),
@@ -36,7 +38,7 @@ def test_canon_input_error_is_one_line_and_status_2(argv, capsys):
     (["bench", "--sizes", "2", "--out", "no-such-dir/x.csv"], "error: --out: cannot write 'no-such-dir/x.csv': "),
     (["oracle-check", "--sizes", "11"], "error: no instance checked: every case is over --max-slots 10 or --cap "),
 ], ids=["engines", "sizes", "families", "bench-sizes-0", "oracle-sizes-negative", "bench-trials",
-        "oracle-trials", "time-budget", "max-slots", "cap", "bench-sizes-empty", "oracle-sizes-empty", "out",
+        "oracle-trials", "time-budget", "time-budget-inf", "time-budget-1e10", "max-slots", "cap", "bench-sizes-empty", "oracle-sizes-empty", "out",
         "oracle-nothing-checked"])
 def test_bad_argument_is_one_line_and_status_2(argv, message, capsys):
     assert cli.main(argv) == 2

@@ -12,7 +12,7 @@ from tensorcanon.frontend import (
     render,
 )
 from tensorcanon.label_context import GroupCode
-from tensorcanon.perm_group import detect_symmetric_subsets, schreier_sims
+from tensorcanon.perm_group import SchreierTree, detect_symmetric_subsets, schreier_sims
 from tensorcanon.signed_perm import SignedPermutation, format_cycles, parse_array
 
 
@@ -306,6 +306,7 @@ def _random_declaration(rng, name):
 def test_product_chain_matches_one_schreier_sims():
     rng = random.Random(3)
     inconsistent = 0
+    signed_moves = 0  # shifted-tree representatives that move the sign pair
     for trial in range(60):
         decls = [_random_declaration(rng, f"T{i}") for i in range(4)]
         # the sign level is shared across factors: a tensor that is minus
@@ -327,13 +328,18 @@ def test_product_chain_matches_one_schreier_sims():
         for level in range(1, S.degree + 1):
             assert S.orbit_of(level) == S_old.orbit_of(level), (expr, level)
             for t in S.orbit_of(level):
-                assert S.coset_rep(level, t) == S_old.coset_rep(level, t), (expr, level, t)
+                u = S_old.coset_rep(level, t)
+                assert S.coset_rep(level, t) == u, (expr, level, t)
+                moved = tuple((x, y) for x, y in enumerate(u.images, 1) if x != y)
+                assert S.tree(level).moves(t) == moved, (expr, level, t)
+                signed_moves += level <= S.n and u.sign < 0
             for g in S.generators(level):
                 assert all(g[p] == p for p in range(1, level)) and S_old.contains(g), (expr, level, g)
         assert prob.subsets.entries == subsets_old.entries, expr
         assert prob.subsets.inconsistent == subsets_old.inconsistent, expr
         inconsistent += subsets_old.inconsistent
     assert 0 < inconsistent < 60
+    assert signed_moves > 0
 
 
 def test_redeclared_tensor_gets_a_fresh_chain():
@@ -341,9 +347,36 @@ def test_redeclared_tensor_gets_a_fresh_chain():
     reg.declare("tensor T rank=2 sym=1..2")
     mono = parse("T_{b a}", reg)
     assert render(build_problem(mono, reg).canonicalize(), mono, reg) == "T_{a b}"
+    old = reg.tensors["T"].chain()[0]
+    assert old.tree(1).moves(2) == ((1, 2), (2, 1))
     reg.declare("tensor T rank=2 asym=1..2")
+    S = reg.tensors["T"].chain()[0]
+    # new trees, whose memos hold only what building the chain asked for:
+    # no moved points yet, and representatives of the new group
+    for level in range(1, S.degree + 1):
+        tree = S.tree(level)
+        assert tree is not old.tree(level)
+        assert tree._moves == {}
+        assert all(S.contains(u) and u[level] == t for t, u in tree._reps.items())
+    assert S.tree(1)._reps[2].sign == -1
     mono = parse("T_{b a}", reg)
     assert render(build_problem(mono, reg).canonicalize(), mono, reg) == "-T_{a b}"
+    assert S.tree(1).moves(2) == ((1, 2), (2, 1), (3, 4), (4, 3))
+
+
+def test_coset_representatives_are_built_once_per_declaration(monkeypatch):
+    walks = []
+    walk = SchreierTree._walk
+    monkeypatch.setattr(SchreierTree, "_walk", lambda tree, target: walks.append(target) or walk(tree, target))
+    reg = Registry()
+    reg.declare("tensor T rank=8 sym=1..8")
+    outputs, built = [], []
+    for expr in ("T_{a b c d e f g h}", "T_{h c g a f b e d}"):
+        mono = parse(expr, reg)
+        outputs.append(render(build_problem(mono, reg).canonicalize(), mono, reg))
+        built.append(len(walks))
+    assert 0 < built[0] == built[1]
+    assert outputs == ["T_{a b c d e f g h}"] * 2
 
 
 @pytest.mark.parametrize("redeclared", ["tensor T rank=3 asym=1..3", "tensor T rank=2 asym=1..2"])
