@@ -3,16 +3,21 @@
 The engine fixes one slot per pass, left to right.  A configuration is
 a point g of the double coset L·g_init·S, the current signed
 slot->label assignment, carried with the slot permutation s that
-reached it from the initial assignment.  Both are kept as plain image
-tuples in the array form of :mod:`~tensorcanon.signed_perm` (length
-n+2, sign pair last), which the helpers below read directly; only the
-result is wrapped back into a signed permutation.  Each pass renumbers
-every child's unconsumed labels by first appearance, then keeps one
-configuration per signed g, the one with the least s (see
-:func:`canonicalize` for why that loses no result).  For each slot the
-engine finds every way of bringing the least reachable label into that
-slot, but prunes branches that are forced equal (or equal up to sign)
-to a kept branch by slot symmetries discovered along the way.
+reached it from the initial assignment.  Both are kept as ``bytes`` in
+the array form of :mod:`~tensorcanon.signed_perm` (length n+2, sign
+pair last), which the helpers below index and iterate directly; only
+the result is wrapped back into a signed permutation.  A label
+permutation is applied to every slot at once by ``bytes.translate``
+with its :func:`_table`, and configurations sort by memcmp, which is
+the order of their image tuples.  A byte holds labels up to 255, so
+the engine takes at most ``MAX_SLOTS`` = 253 slots (the sign pair takes
+the two values above them).  Each pass renumbers every child's
+unconsumed labels by first appearance, then keeps one configuration per
+signed g, the one with the least s (see :func:`canonicalize` for why
+that loses no result).  For each slot the engine finds every way of
+bringing the least reachable label into that slot, but prunes branches
+that are forced equal (or equal up to sign) to a kept branch by slot
+symmetries discovered along the way.
 
 Propagated symmetries are recorded per *initial* slot (indexed through
 s) in an array ``prop``: labels known to be mutually exchangeable share
@@ -199,9 +204,13 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
     return False
 
 
-def _moves(perm):
-    """``[(x, perm[x]), ...]`` over the points ``perm`` moves, sign pair included."""
-    return [(x, y) for x, y in enumerate(perm.images, 1) if x != y]
+MAX_SLOTS = 253
+_IDENTITY_TABLE = bytes(range(256))
+
+
+def _table(perm):
+    """The ``bytes.translate`` table of ``perm``: ``g.translate(_table(perm))`` is perm∘g."""
+    return bytes((0,) + perm.images) + _IDENTITY_TABLE[len(perm.images) + 1:]
 
 
 def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop, ordered, lpfgs, reps):
@@ -218,16 +227,17 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     being filled and the subset holding the supplied label's partner.
 
     ``lpfgs`` maps a label to its ``label_permutation_from_group(ctx,
-    label, least_value)`` and the points that moves; one dict, shared by
-    a whole slot pass, builds each of them once.  ``reps`` maps an orbit
-    slot p to ``S.tree(i).moves(p)``, the points slot i's coset
-    representative for p moves.  The tree builds each representative
-    once for the whole declaration; the per-pass dict only saves
-    shifting its moved points into place again.
+    label, least_value)`` and that permutation's :func:`_table`; one
+    dict, shared by a whole slot pass, builds each of them once.
+    ``reps`` maps an orbit slot p to ``S.tree(i).moves(p)``, the points
+    slot i's coset representative for p moves.  The tree builds each
+    representative once for the whole declaration; the per-pass dict
+    only saves shifting its moved points into place again.
 
     Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked,
-    ordered)``, built by patching copies of g and s on the points that
-    stilde and ltilde move, and sharing s when stilde is the identity.
+    ordered)``: g is translated through ltilde's table, then the result
+    and a copy of s are patched on the points stilde moves, and s is
+    shared when stilde is the identity.
     ``checked`` is ``prop``, which this configuration has passed the
     zero check against, or None for a child that took its label through
     an exchange (p != q): such a child must be checked again.  The child
@@ -252,34 +262,29 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
         lpfg = lpfgs.get(label)
         if lpfg is None:
             perm = label_permutation_from_group(ctx, label, least_value)
-            lpfg = lpfgs[label] = (perm, _moves(perm))
+            lpfg = lpfgs[label] = (perm, _table(perm))
         if p != q:
             # q supplies the label through an exchange with slot p; fold
             # the (possibly signed) label swap in before relabelling
             eps = _sign(prop[s[q - 1]])
             swap = from_signed_cycles(ctx.n, eps, [(label, g[p - 1])])
-            relabel = _moves(compose(lpfg[0], swap))
+            table = _table(compose(lpfg[0], swap))
         else:
-            relabel = lpfg[1]
+            table = lpfg[1]
         slots = reps.get(p)
         if slots is None:
             slots = reps[p] = S.tree(i).moves(p)
-        child = list(g)
+        relabelled = g.translate(table)
         if slots:
-            child_s = list(s)
+            child, child_s = bytearray(relabelled), bytearray(s)
             for x, y in slots:
-                child[x - 1] = g[y - 1]
+                child[x - 1] = relabelled[y - 1]
                 child_s[x - 1] = s[y - 1]
-            child_s = tuple(child_s)
+            child, child_s = bytes(child), bytes(child_s)
         else:
-            child_s = s
-        if relabel:
-            # find every relabelled point before moving any of them
-            at = [child.index(x) for x, _ in relabel]
-            for k, (_, y) in zip(at, relabel):
-                child[k] = y
+            child, child_s = relabelled, s
         out.append((
-            tuple(child),
+            child,
             child_s,
             prop if p == q else None,
             ordered and p == q == i,
@@ -292,8 +297,7 @@ def _renamed(ctx, config, i):
     g, s, checked, _ = config
     lam = first_appearance_renaming(ctx, g[i:-2])
     if lam is not None:
-        lp = (0,) + lam.images  # 1-padded, so that lp[x] is the image of x
-        g = tuple([lp[x] for x in g])
+        g = g.translate(_table(lam))
     return g, s, checked, True
 
 
@@ -306,17 +310,19 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     given, is a dict that receives ``configs_per_slot`` (configuration
     counts after each slot pass), ``max_configs`` and ``prop_updates``
     (before/after snapshots of the propagation array, with the slot
-    action and supplied label values of each update).
+    action s, as ``bytes``, and the supplied label values of each
+    update).
 
     Work that repeats across configurations is done once: each slot
     pass builds ``label_permutation_from_group`` once per supplied label
-    (the context and the least value are fixed within a pass), with the
-    list of points it moves.  Coset representatives and the points they
-    move are built once per declaration and kept on its chain's trees
-    (see :class:`~tensorcanon.perm_group.SchreierTree`); a pass reads
-    them as ``S.tree(i).moves(p)``.  A child is its parent's image
-    tuples patched on those points, and shares its parent's s when the
-    representative is the identity.
+    (the context and the least value are fixed within a pass), with its
+    translation table.  Coset representatives and the points they move
+    are built once per declaration and kept on its chain's trees (see
+    :class:`~tensorcanon.perm_group.SchreierTree`); a pass reads them as
+    ``S.tree(i).moves(p)``.  A child is its parent's g translated
+    through the label element's table, then patched, with a copy of s,
+    on those points; it shares its parent's s when the representative
+    is the identity.  The renaming λ below is one more translation.
     ``prop`` is replaced, never mutated, and an update that adds no entry
     returns it as it was.
 
@@ -426,7 +432,7 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
         return finish(CanonResult.zero(), [])
     prop = [0] * (n + 1)
     next_odd = itertools.count(1, 2).__next__
-    configs = [(g_init.images, tuple(range(1, n + 3)), None, False)]
+    configs = [(bytes(g_init.images), bytes(range(1, n + 3)), None, False)]
     counts = []
     for i in range(1, n + 1):
         orbit = S.orbit_of(i)

@@ -24,7 +24,9 @@ name followed by index groups ``_{...}`` (lower) and ``^{...}`` (upper);
 tokens inside groups are separated by whitespace.  An all-digit token is
 a component label; other tokens are index names.  Every non-component
 name must appear exactly once (free) or exactly twice, once lower and
-once upper (dummy).
+once upper (dummy).  A monomial has at most 253 slots
+(``canon_fast.MAX_SLOTS``: the fast engine keeps a configuration's n
+slots and its sign pair as bytes); :func:`parse` refuses a longer one.
 
 Label order
 -----------
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
-from .canon_fast import canonicalize, CanonResult
+from .canon_fast import MAX_SLOTS, canonicalize, CanonResult
 from .canon_baseline import LabelBsgs
 from .label_context import IndexClass, build as build_context
 from .perm_group import direct_product, product_subsets, schreier_sims, detect_symmetric_subsets
@@ -277,6 +279,9 @@ def parse(text, registry):
         factors.append(Factor(name, indices, decl))
     if not factors:
         raise FrontendError("empty expression")
+    n = sum(len(f.indices) for f in factors)
+    if n > MAX_SLOTS:
+        raise FrontendError(f"expression has {n} slots; at most {MAX_SLOTS} are supported")
     return _label(factors, registry)
 
 

@@ -8,9 +8,9 @@ slots".
 
 Schreier trees are built breadth-first with generators tried in
 ascending index order, which makes coset representatives deterministic.
-Each tree builds a representative, and the points it moves, the first
-time it is asked for and keeps them; the trees of a product keep none
-of their own, but shift the ones their block's tree keeps.
+Each tree builds a representative, its inverse and the points it moves
+the first time it is asked for and keeps them; the trees of a product
+keep none of their own, but shift the ones their block's tree keeps.
 
 A group acting on consecutive slot blocks that share only the sign (the
 slot group of a tensor monomial, one block per factor) is assembled by
@@ -28,8 +28,9 @@ class SchreierTree:
     """BFS orbit tree rooted at ``root`` over a fixed generator list.
 
     The tree is the one cache of its coset representatives: :meth:`rep`
-    builds each the first time it is asked for and keeps it, and
-    :meth:`moves` keeps the points each one moves.  Both are
+    builds each the first time it is asked for and keeps it,
+    :meth:`rep_inverse` keeps its inverse, which sifting composes with,
+    and :meth:`moves` keeps the points each one moves.  All three are
     deterministic and immutable for a fixed generator list, and
     Schreier-Sims builds a new tree whenever a level's generators
     change, so a memo never outlives the generators it was built from.
@@ -44,6 +45,7 @@ class SchreierTree:
         # point); the root maps to None
         self._edges = edges = {root: None}
         self._reps = {}
+        self._inverses = {}
         self._moves = {}
         self.orbit = [root]
         frontier = [root]
@@ -70,6 +72,13 @@ class SchreierTree:
         if u is None:
             u = self._reps[target] = self._walk(target)
         return u
+
+    def rep_inverse(self, target):
+        """The inverse of ``rep(target)``: u⁻¹ with u⁻¹[target] == root."""
+        v = self._inverses.get(target)
+        if v is None:
+            v = self._inverses[target] = inverse(self.rep(target))
+        return v
 
     def moves(self, target):
         """``((x, u[x]), ...)`` over the points ``u = rep(target)`` moves, sign pair included."""
@@ -139,7 +148,7 @@ class Bsgs:
             tree = self._trees[i]
             if t not in tree:
                 return False
-            h = compose(inverse(tree.rep(t)), h)
+            h = compose(tree.rep_inverse(t), h)
         return h.is_identity()
 
 
@@ -192,7 +201,7 @@ def schreier_sims(n, generators):
                 continue
             if t not in trees[lvl]:
                 return h
-            h = compose(inverse(trees[lvl].rep(t)), h)
+            h = compose(trees[lvl].rep_inverse(t), h)
         return h
 
     # Every change to a level's generators rebuilds its tree, so each
@@ -204,7 +213,7 @@ def schreier_sims(n, generators):
             u_t = trees[i].rep(t)
             for x in level_gens[i]:
                 xt = x[t]
-                schreier = compose(inverse(trees[i].rep(xt)), compose(x, u_t))
+                schreier = compose(trees[i].rep_inverse(xt), compose(x, u_t))
                 if schreier.is_identity():
                     continue
                 residue = sift(schreier, i + 1)
@@ -240,10 +249,11 @@ def _shift(g, offset, n):
 class _ShiftedTree:
     """A block's Schreier tree read with its points moved up by ``offset``.
 
-    Coset representatives and their moved points are the block's own,
-    cached once on the block's tree and shifted on each call: local
-    points 1..k map to offset+1..offset+k and the local sign pair k+1,
-    k+2 to n+1, n+2.  :meth:`moves` costs one step per moved point.
+    Coset representatives, their inverses and their moved points are
+    the block's own, cached once on the block's tree and shifted on each
+    call: local points 1..k map to offset+1..offset+k and the local sign
+    pair k+1, k+2 to n+1, n+2.  :meth:`moves` costs one step per moved
+    point.
     """
 
     __slots__ = ("_tree", "_offset", "_n", "root")
@@ -271,6 +281,9 @@ class _ShiftedTree:
 
     def rep(self, target):
         return _shift(self._tree.rep(self._local(target)), self._offset, self._n)
+
+    def rep_inverse(self, target):
+        return _shift(self._tree.rep_inverse(self._local(target)), self._offset, self._n)
 
     def moves(self, target):
         offset = self._offset

@@ -62,7 +62,7 @@ class SignedPermutation:
         return format_array(self)
 
     def is_identity(self):
-        return all(img == i + 1 for i, img in enumerate(self.images))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def negated(self):
         """Return the same permutation with the opposite sign."""

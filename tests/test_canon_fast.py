@@ -7,12 +7,14 @@ from tensorcanon import canon_fast
 from tensorcanon.bench import budget, generate
 from tensorcanon.canon_baseline import butler_portugal
 from tensorcanon.canon_fast import (
+    MAX_SLOTS,
+    _table,
     canonicalize,
     update_propagated_symmetries,
     zero_due_to_propagated_symmetries,
 )
 from tensorcanon.frontend import Registry, parse, build_problem, render
-from tensorcanon.signed_perm import identity, parse_array
+from tensorcanon.signed_perm import SignedPermutation, compose, identity, parse_array
 
 
 def make_problem(decls, expr):
@@ -359,3 +361,47 @@ def test_matches_baseline_on_random_riemann_products():
         fast = prob.canonicalize()
         base = butler_portugal(prob.g_init, prob.S, prob.label_bsgs())
         assert fast == base, expr
+
+
+def random_signed_permutation(rng, n):
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return SignedPermutation(images + rng.choice([[n + 1, n + 2], [n + 2, n + 1]]))
+
+
+def test_translation_table_composes_on_the_left():
+    # a configuration is bytes, and translating it through a label
+    # element's table applies that element to every slot and the sign pair
+    rng = random.Random(11)
+    signs = set()
+    for n in range(1, MAX_SLOTS + 1):
+        for _ in range(2):
+            p = random_signed_permutation(rng, n)
+            h = random_signed_permutation(rng, n)
+            g = bytes(h.images)
+            assert g.translate(_table(p)) == bytes(compose(p, SignedPermutation(g)).images), (n, p, h)
+            signs.add((p.sign, h.sign))
+    assert len(signs) == 4
+
+
+def test_largest_monomial_canonicalizes_to_a_fixed_point():
+    # 253 slots, the most a configuration's bytes can hold: eleven rank-23
+    # factors wired by 126 dummy pairs and one free index; the result is
+    # negative, so the sign pair reads 255, 254
+    rng = random.Random(0)
+    names = [f"a{k}" for k in range(126)]
+    tokens = [(name, "d") for name in names] + [(name, "u") for name in names] + [("z", "d")]
+    rng.shuffle(tokens)
+    expr = " ".join(
+        "T" + "".join(("_{" if var == "d" else "^{") + name + "}" for name, var in tokens[k : k + 23])
+        for k in range(0, MAX_SLOTS, 23)
+    )
+    reg, mono, prob = make_problem("tensor T rank=23 asym=1..3 sym=4..5", expr)
+    assert prob.n == MAX_SLOTS
+    result = prob.canonicalize()
+    assert result.g.images[MAX_SLOTS:] == (255, 254)
+    assert result == butler_portugal(prob.g_init, prob.S, prob.label_bsgs())
+    text = render(result, mono, reg)
+    assert text.startswith("-")
+    mono2 = parse(text[1:], reg)
+    assert render(build_problem(mono2, reg).canonicalize(), mono2, reg) == text[1:]

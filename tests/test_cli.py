@@ -12,6 +12,9 @@ def test_canon_prints_result(capsys):
     ["canon", "--declare", "tensor T rank=x", "T_{a}"],
     ["canon", "--declare", "tensor T rank=2", "T_{a}"],
     ["canon", "--decls", "no-such-dir/decls.txt", "T_{a}"],
+    # one slot more than a fast-engine configuration holds
+    ["canon", "--declare", "tensor T rank=254",
+     "T_{" + " ".join(f"a{k}" for k in range(127)) + "}^{" + " ".join(f"a{k}" for k in range(127)) + "}"],
 ])
 def test_canon_input_error_is_one_line_and_status_2(argv, capsys):
     assert cli.main(argv) == 2

@@ -13,7 +13,7 @@ from tensorcanon.frontend import (
 )
 from tensorcanon.label_context import GroupCode
 from tensorcanon.perm_group import SchreierTree, detect_symmetric_subsets, schreier_sims
-from tensorcanon.signed_perm import SignedPermutation, format_cycles, parse_array
+from tensorcanon.signed_perm import SignedPermutation, format_cycles, inverse, parse_array
 
 
 def canon_text(decls, expr):
@@ -332,6 +332,7 @@ def test_product_chain_matches_one_schreier_sims():
                 assert S.coset_rep(level, t) == u, (expr, level, t)
                 moved = tuple((x, y) for x, y in enumerate(u.images, 1) if x != y)
                 assert S.tree(level).moves(t) == moved, (expr, level, t)
+                assert S.tree(level).rep_inverse(t) == inverse(u), (expr, level, t)
                 signed_moves += level <= S.n and u.sign < 0
             for g in S.generators(level):
                 assert all(g[p] == p for p in range(1, level)) and S_old.contains(g), (expr, level, g)
