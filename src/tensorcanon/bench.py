@@ -85,8 +85,10 @@ def _pairwise_gens_text(k):
 def _matched_expression(rng, ranks, matching_slots=None):
     """Contract the slots of len(ranks) factors by a random perfect matching.
 
-    Returns (factor index strings).  ``matching_slots`` restricts the
-    matching to a precomputed list of (slot, slot) global pairs.
+    Returns one (name, variance) token per global slot, variance ``"d"``
+    or ``"u"``, for :func:`~tensorcanon.frontend.factor_text`.
+    ``matching_slots`` restricts the matching to a precomputed list of
+    (slot, slot) global pairs.
     """
     total = sum(ranks)
     if matching_slots is None:
@@ -112,7 +114,7 @@ def generate(family, size, trial=0):
         decls = f"tensor T rank={k} sym=1..{k}"
         names = _names(k, "f")
         rng.shuffle(names)
-        expr = "T_{" + " ".join(names) + "}"
+        expr = factor_text("T", [(name, "d") for name in names])
     elif family == "nosym-dummies":
         decls = f"tensor T rank={2 * k}"
         tokens = _matched_expression(rng, [2 * k])
@@ -125,7 +127,7 @@ def generate(family, size, trial=0):
         pi2 = list(names)
         rng.shuffle(pi1)
         rng.shuffle(pi2)
-        expr = "T_{" + " ".join(pi1) + "} U^{" + " ".join(pi2) + "}"
+        expr = factor_text("T", [(d, "d") for d in pi1]) + " " + factor_text("U", [(d, "u") for d in pi2])
     elif family == "riemann":
         decls = 'tensor R rank=4 gens="-(1,2),+(1,3)(2,4),-(3,4)"'
         tokens = _matched_expression(rng, [4] * k)

@@ -309,9 +309,9 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     and ``subsets`` the detected symmetric subsets.  ``trace``, if
     given, is a dict that receives ``configs_per_slot`` (configuration
     counts after each slot pass), ``max_configs`` and ``prop_updates``
-    (before/after snapshots of the propagation array, with the slot
-    action s, as ``bytes``, and the supplied label values of each
-    update).
+    (the propagation arrays before and after each update, kept as they
+    are since no array is mutated, with the slot action s, as
+    ``bytes``, and the supplied label values).
 
     Work that repeats across configurations is done once: each slot
     pass builds ``label_permutation_from_group`` once per supplied label
@@ -447,7 +447,7 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
             prop = update_propagated_symmetries(inst, g, s, ctx, subsets, prop, next_odd)
             if trace is not None:
                 trace.setdefault("prop_updates", []).append(
-                    (list(prev), list(prop), s, [ctx.values[g[q - 1]] for _, q in inst])
+                    (prev, prop, s, [ctx.values[g[q - 1]] for _, q in inst])
                 )
             if prop is not checked and zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                 return finish(CanonResult.zero(), counts)

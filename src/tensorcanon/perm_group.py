@@ -11,12 +11,16 @@ ascending index order, which makes coset representatives deterministic.
 Each tree builds a representative, its inverse and the points it moves
 the first time it is asked for and keeps them; the trees of a product
 keep none of their own, but shift the ones their block's tree keeps.
+Everything else is read off the chain: membership sifts through the
+trees (:func:`_sift`, shared with Schreier-Sims), and the symmetric
+subsets come from the orbits (:func:`detect_symmetric_subsets`).
 
 A group acting on consecutive slot blocks that share only the sign (the
 slot group of a tensor monomial, one block per factor) is assembled by
 :func:`direct_product` from one chain per block, and its symmetric
-subsets by :func:`product_subsets`, without running Schreier-Sims or the
-pairwise subset search over the whole product.
+subsets by :func:`product_subsets`, without running Schreier-Sims or
+subset detection over the whole product.  A product chain has trees but
+no strong generators.
 """
 
 from __future__ import annotations
@@ -115,7 +119,11 @@ class Bsgs:
         return list(range(1, self.degree + 1))
 
     def generators(self, level=1):
-        """Strong generators fixing the points 1..level-1 pointwise."""
+        """Strong generators fixing the points 1..level-1 pointwise.
+
+        Only :func:`schreier_sims` chains keep them; a
+        :func:`direct_product` chain keeps trees alone.
+        """
         return list(self._level_gens[level])
 
     def orbit_of(self, level):
@@ -138,25 +146,21 @@ class Bsgs:
 
     def contains(self, g):
         """Membership by sifting down the stabilizer chain."""
-        if g.degree != self.n:
-            return False
-        h = g
-        for i in range(1, self.degree + 1):
-            t = h[i]
-            if t == i:
-                continue
-            tree = self._trees[i]
-            if t not in tree:
-                return False
-            h = compose(tree.rep_inverse(t), h)
-        return h.is_identity()
+        return g.degree == self.n and _sift(self._trees, g, 1).is_identity()
 
 
-def _first_moved(g):
-    for i, img in enumerate(g.images):
-        if img != i + 1:
-            return i + 1
-    return None
+def _sift(trees, h, start):
+    """``h`` stripped of coset representatives from level ``start`` on,
+    up to the first level whose orbit misses the residue's base image."""
+    for lvl in range(start, len(trees)):
+        t = h[lvl]
+        if t == lvl:
+            continue
+        tree = trees[lvl]
+        if t not in tree:
+            return h
+        h = compose(tree.rep_inverse(t), h)
+    return h
 
 
 def schreier_sims(n, generators):
@@ -168,10 +172,10 @@ def schreier_sims(n, generators):
     affected deeper levels are re-verified.
     """
     deg = n + 2
-    level_gens = [[] for _ in range(deg + 2)]  # index 0 unused
+    level_gens = [[] for _ in range(deg + 1)]  # index 0 unused
 
     def add_gen(g):
-        j = _first_moved(g)
+        j = next(p for p, img in enumerate(g.images, 1) if img != p)
         for lvl in range(1, j + 1):
             level_gens[lvl].append(g)
         return j
@@ -185,24 +189,13 @@ def schreier_sims(n, generators):
         seen.add(g.images)
         add_gen(g)
 
-    trees = [None] * (deg + 2)
+    trees = [None] * (deg + 1)
 
     def rebuild(level):
         trees[level] = SchreierTree(level, level_gens[level], deg)
 
     for i in range(1, deg + 1):
         rebuild(i)
-
-    def sift(g, start):
-        h = g
-        for lvl in range(start, deg + 1):
-            t = h[lvl]
-            if t == lvl:
-                continue
-            if t not in trees[lvl]:
-                return h
-            h = compose(trees[lvl].rep_inverse(t), h)
-        return h
 
     # Every change to a level's generators rebuilds its tree, so each
     # level is verified against the tree of its current generators.
@@ -216,7 +209,7 @@ def schreier_sims(n, generators):
                 schreier = compose(trees[i].rep_inverse(xt), compose(x, u_t))
                 if schreier.is_identity():
                     continue
-                residue = sift(schreier, i + 1)
+                residue = _sift(trees, schreier, i + 1)
                 if not residue.is_identity():
                     j = add_gen(residue)
                     for lvl in range(1, j + 1):
@@ -229,9 +222,7 @@ def schreier_sims(n, generators):
         if clean:
             i -= 1
 
-    # Freeze per-level views.
-    frozen = [None] + [tuple(level_gens[i]) for i in range(1, deg + 1)]
-    return Bsgs(n, frozen, trees)
+    return Bsgs(n, [tuple(gens) for gens in level_gens], trees)
 
 
 def _shift(g, offset, n):
@@ -295,52 +286,29 @@ class _ShiftedTree:
         )
 
 
-class _ProductGens:
-    """Strong generators per level of a :func:`direct_product`, shifted when asked for."""
-
-    def __init__(self, n, blocks, minus):
-        self._n = n
-        self._blocks = blocks  # (offset, local Bsgs) in slot order
-        self._minus = minus
-
-    def __getitem__(self, level):
-        n = self._n
-        if level > n:
-            return self._minus if level == n + 1 else ()
-        gens = []
-        for offset, c in self._blocks:
-            if offset + c.n < level:
-                continue
-            local = max(1, level - offset)
-            gens.extend(_shift(g, offset, n) for g in c.generators(local))
-        return tuple(gens)
-
-
 def direct_product(chains):
     """Chain of the product of groups on consecutive slot blocks sharing the sign.
 
     ``chains`` holds one :class:`Bsgs` per block, over its local slots
     1..k, in slot order.  Level offset+j of the result is block f's level
-    j moved up by the ``offset`` slots before the block: its Schreier
-    tree shifted, and its strong generators shifted and followed by those
-    of every later block.  The sign level moves iff some block contains
-    -identity.  Orbits, coset representatives, group order and
-    membership equal those of ``schreier_sims`` run on all the shifted
-    generators at once: generators of other blocks fix a block's points,
-    so they add no edge to its trees and no residue to its levels.
-    Trees and generators are shifted on demand.
+    j tree moved up by the ``offset`` slots before the block.  The sign
+    level moves iff some block contains -identity.  Orbits, coset
+    representatives, group order and membership equal those of
+    ``schreier_sims`` run on all the shifted generators at once:
+    generators of other blocks fix a block's points, so they add no edge
+    to its trees and no residue to its levels.  Trees are shifted on
+    demand.  The product keeps no strong generators: every caller reads
+    its trees.
     """
     n = sum(c.n for c in chains)
     deg = n + 2
     minus = (identity(n).negated(),) if any(len(c.tree(c.n + 1)) == 2 for c in chains) else ()
     trees = [None]
-    blocks = []
     for c in chains:
         offset = len(trees) - 1
-        blocks.append((offset, c))
         trees.extend(_ShiftedTree(c.tree(j), offset, n) for j in range(1, c.n + 1))
-    trees += [SchreierTree(n + 1, minus, deg), SchreierTree(n + 2, (), deg), None]
-    return Bsgs(n, _ProductGens(n, blocks, minus), trees)
+    trees += [SchreierTree(n + 1, minus, deg), SchreierTree(n + 2, (), deg)]
+    return Bsgs(n, None, trees)
 
 
 class SymmetricSubsets:
@@ -371,56 +339,43 @@ class SymmetricSubsets:
 
 
 def detect_symmetric_subsets(bsgs):
-    """Find maximal (anti)symmetric slot subsets of the group.
+    """Find maximal (anti)symmetric slot subsets of the group, off its chain.
 
-    Tests each pair transposition +(i,j) and -(i,j) for membership and
-    merges connected slots.  Subsets are numbered left to right with
+    Slots i and j share a subset iff +(i,j) or -(i,j) is in the group.
+    The relation is transitive, as (i,k) = (i,j)(j,k)(i,j), so a subset
+    is its least slot i together with each j > i for which ±(i,j) is a
+    member, and a slot already placed needs no test of its own.  Such a
+    j lies in the orbit of i at level i, since (i,j) fixes 1..i-1, so
+    only those orbit points are sifted.  Unless
+    -identity is in the group, every transposition of one subset carries
+    one sign: the signs are a homomorphism of the subset's symmetric
+    group to ±1, trivial or the parity, so once a subset has a sign only
+    that sign is tested.  Subsets are numbered left to right with
     increasing absolute values; signs record symmetric (+) vs
-    antisymmetric (-).  If -identity is in the group the result is
-    flagged inconsistent (every configuration equals minus itself).
+    antisymmetric (-).  If -identity is in the group (the sign level
+    moves) the result is flagged inconsistent (every configuration
+    equals minus itself).
     """
     n = bsgs.n
-    if bsgs.contains(identity(n).negated()):
-        return SymmetricSubsets([0] * (n + 1), inconsistent=True)
-
-    parent = list(range(n + 1))
-    sign_of_comp = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            sign = 0
-            if bsgs.contains(from_signed_cycles(n, 1, [(i, j)])):
-                sign = 1
-            elif bsgs.contains(from_signed_cycles(n, -1, [(i, j)])):
-                sign = -1
-            if sign == 0:
-                continue
-            ri, rj = find(i), find(j)
-            s = sign_of_comp.get(ri, 0) or sign_of_comp.get(rj, 0) or sign
-            parent[rj] = ri
-            sign_of_comp[ri] = s
-
     entries = [0] * (n + 1)
-    comp_id = {}
-    next_id = 1
-    # Number components with >= 2 slots, left to right.
-    sizes = {}
+    if len(bsgs.tree(n + 1)) == 2:
+        return SymmetricSubsets(entries, inconsistent=True)
+    count = 0
     for i in range(1, n + 1):
-        sizes[find(i)] = sizes.get(find(i), 0) + 1
-    for i in range(1, n + 1):
-        r = find(i)
-        if sizes[r] < 2:
+        if entries[i]:
             continue
-        if r not in comp_id:
-            comp_id[r] = next_id
-            next_id += 1
-        entries[i] = comp_id[r] * sign_of_comp.get(r, 1)
+        sign = 0
+        for j in bsgs.tree(i).orbit:
+            if j <= i:
+                continue
+            for s in (sign,) if sign else (1, -1):
+                if bsgs.contains(from_signed_cycles(n, s, [(i, j)])):
+                    if not sign:
+                        sign = s
+                        count += 1
+                        entries[i] = sign * count
+                    entries[j] = sign * count
+                    break
     return SymmetricSubsets(entries)
 
 

@@ -174,9 +174,15 @@ def test_spent_budget_raises_before_the_body(seconds):
     assert ran == []
 
 
-def test_run_bench_budget_bounds_set_up(capsys):
-    # sym-frees at size 48 spends seconds in Schreier-Sims inside
-    # generate(), milliseconds in the engine
+def test_run_bench_budget_bounds_set_up(capsys, monkeypatch):
+    # set-up at size 48 sleeps far past the budget; SIGALRM interrupts
+    # the sleep, so the budget alone ends the family
+    def slow_generate(family, size, trial=0):
+        if size == 48:
+            time.sleep(60)
+        return generate(family, size, trial)
+
+    monkeypatch.setattr(bench, "generate", slow_generate)
     out = io.StringIO()
     t0 = time.perf_counter()
     run_bench(["sym-frees"], [4, 48], 1, ["fast"], out, time_budget=0.5)

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 from hypothesis import given, settings, strategies as st
 
-from tensorcanon.signed_perm import identity, from_signed_cycles, compose, inverse, parse_cycles
-from tensorcanon.perm_group import schreier_sims, detect_symmetric_subsets
+from tensorcanon.signed_perm import SignedPermutation, identity, from_signed_cycles, compose, inverse, parse_cycles
+from tensorcanon.perm_group import Bsgs, schreier_sims, detect_symmetric_subsets
 
 
 def close_group(n, gens):
@@ -20,6 +21,40 @@ def close_group(n, gens):
                     nxt.append(p)
         frontier = nxt
     return elems
+
+
+def closure_subsets(n, elems):
+    """(entries, inconsistent) expected of ``detect_symmetric_subsets``, from the closure.
+
+    Slots joined by a signed transposition in ``elems`` form a class;
+    classes of at least 2 slots are numbered left to right and carry the
+    sign of their transpositions.  The group is inconsistent iff it
+    holds -identity.
+    """
+    if identity(n).negated().images in elems:
+        return [0] * n, True
+    least = list(range(n + 1))  # slot -> least slot of its class
+    sign = {}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        for s in (1, -1):
+            if from_signed_cycles(n, s, [(i, j)]).images in elems:
+                lo, hi = sorted((least[i], least[j]))
+                least = [lo if c == hi else c for c in least]
+                sign[lo] = s
+    numbers = {}
+    entries = []
+    for i in range(1, n + 1):
+        if least.count(least[i]) < 2:
+            entries.append(0)
+            continue
+        numbers.setdefault(least[i], len(numbers) + 1)
+        entries.append(sign[least[i]] * numbers[least[i]])
+    return entries, False
+
+
+def _detected(S):
+    res = detect_symmetric_subsets(S)
+    return res.as_list(), res.inconsistent
 
 
 def riemann_gens(n=4, offset=0):
@@ -44,8 +79,6 @@ def test_riemann_membership():
     assert len(elems) == 8
     # every element of the closure sifts to the identity
     for imgs in elems:
-        from tensorcanon.signed_perm import SignedPermutation
-
         assert S.contains(SignedPermutation(imgs))
     # and things outside do not
     assert not S.contains(from_signed_cycles(4, 1, [(1, 2)]))
@@ -131,6 +164,39 @@ def test_order_matches_closure(cycle_texts):
     elems = close_group(4, gens)
     assert S.group_order == len(elems)
     for imgs in elems:
-        from tensorcanon.signed_perm import SignedPermutation
-
         assert S.contains(SignedPermutation(imgs))
+    assert _detected(S) == closure_subsets(4, elems)
+
+
+def test_subsets_match_closure_on_random_groups():
+    rng = random.Random(5)
+    inconsistent = found = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(1, n + 1))
+            if rng.random() < 0.5:
+                i, j = rng.sample(range(n), 2)
+                images[i], images[j] = images[j], images[i]
+            else:
+                rng.shuffle(images)
+            sign = rng.choice([(n + 1, n + 2), (n + 2, n + 1)])
+            gens.append(SignedPermutation(tuple(images) + sign))
+        expected = closure_subsets(n, close_group(n, gens))
+        assert _detected(schreier_sims(n, gens)) == expected, gens
+        inconsistent += expected[1]
+        found += any(expected[0])
+    assert 0 < inconsistent < found
+
+
+def test_subset_detection_sifts_only_orbit_points(monkeypatch):
+    calls = []
+    contains = Bsgs.contains
+    monkeypatch.setattr(Bsgs, "contains", lambda self, g: calls.append(g) or contains(self, g))
+    S = schreier_sims(253, [])
+    assert detect_symmetric_subsets(S).as_list() == [0] * 253
+    assert len(calls) == 0
+    S = schreier_sims(32, [from_signed_cycles(32, 1, [(i, i + 1)]) for i in range(1, 32)])
+    assert detect_symmetric_subsets(S).as_list() == [1] * 32
+    assert len(calls) <= 31
