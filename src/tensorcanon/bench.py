@@ -32,16 +32,14 @@ import hashlib
 import math
 import random
 import signal
+import statistics
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
 from .canon_baseline import butler_portugal
 from .frontend import Registry, parse, build_problem, render, factor_text
-from .oracle import enumerate_group, enumerate_label_group, brute_force_canonicalize
 
 FAMILIES = [
     "sym-frees",
@@ -227,6 +225,8 @@ def result_digest(result, case):
 
 def oracle_result(case, cap=10**6):
     """Brute-force result, or None when the groups are too big."""
+    from .oracle import enumerate_group, enumerate_label_group, brute_force_canonicalize  # loads numpy
+
     problem = case.problem
     try:
         S_enum = enumerate_group(problem.S, cap=cap)
@@ -248,13 +248,14 @@ def _fitted(sizes, times):
 
 
 def fit_exponent(sizes, times):
-    """Least-squares slope of log(time) vs log(size), largest half of sizes."""
+    """Least-squares slope of log(time) vs log(size), largest half of
+    sizes; NaN when that half has fewer than two distinct sizes."""
     half = _fitted(sizes, times)
-    if len(half) < 2:
+    if len({size for size, _ in half}) < 2:
         return float("nan")
-    xs = np.log([p[0] for p in half])
-    ys = np.log([max(p[1], 1e-9) for p in half])
-    return float(np.polyfit(xs, ys, 1)[0])
+    xs = [math.log(p[0]) for p in half]
+    ys = [math.log(max(p[1], 1e-9)) for p in half]
+    return statistics.linear_regression(xs, ys).slope
 
 
 def run_bench(families, sizes, trials, engines, out, time_budget=10.0):

@@ -10,7 +10,8 @@ Declarations
 
 ``gens`` lists signed slot cycles (1-based, local to the tensor);
 ``sym=a..b`` / ``asym=a..b`` are sugar for the adjacent (anti)symmetric
-transpositions on that slot range and may be repeated.  A bundle is
+transpositions on that slot range.  ``gens``, ``sym`` and ``asym`` may be
+repeated; ``rank`` and ``metric`` may not.  A bundle is
 matched by name prefix on index tokens (longest declared prefix wins);
 undeclared tokens fall into an implicit symmetric-metric bundle.
 Declaring a name again replaces its declaration; a bundle keeps its
@@ -36,8 +37,31 @@ factor to its tensor's declaration; a later declaration changes neither.
 Labels go to index classes in <-order: free names alphabetically, then
 component classes grouped by bundle and numeral, then one dummy class
 per bundle in declaration order, the implicit bundle last (pairs
-ordered by name, lower leg first).  Canonical output renames dummies:
-pair k of a bundle gets the k-th smallest of the originally used names.
+ordered by name, lower leg first).
+
+Printing
+--------
+
+:func:`parse` also decides how each label prints, once, and keeps it in
+``TensorMonomial.label_info``: label 1..n maps to ``(text, own, pair)``.
+
+* ``text`` is the token written at the slot the label came from.  Pairs
+  are labelled in name order, so pair k of a bundle prints as the k-th
+  smallest of the names originally used with that bundle.
+* ``own`` is the written variance of a free or dummy index of a
+  ``metric=none`` bundle, which cannot be raised or lowered; else None.
+* ``pair`` is the lower-leg label of a metric-bundle dummy pair; else 0.
+
+:func:`render` prints each slot as ``text`` with ``own``, or else with
+the variance written at that slot.  A metric pair whose legs land on two
+slots of equal variance prints lower then upper: the metric raises one
+leg, so every pair prints one lower and one upper leg.
+
+Known defect: a free index of a metric bundle takes the variance of the
+slot it lands on, not its own.  For symmetric ``S``, ``S_{b}^{a}`` prints
+``S_{a}^{b}`` while the equal ``S^{a}_{b}`` prints itself.  The fix is to
+give free labels ``own``; it changes the totalsym-shared digest in
+``perfbench/digests.json``.
 
 Slot group
 ----------
@@ -53,7 +77,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
 
 from .canon_fast import MAX_SLOTS, canonicalize, CanonResult
@@ -142,6 +166,8 @@ class Registry:
                 raise FrontendError(f"malformed option {tok!r} in {line!r}")
             key, _, val = tok.partition("=")
             if key == "rank":
+                if rank is not None:
+                    raise FrontendError(f"tensor {name}: rank given twice in {line!r}")
                 if not re.fullmatch(r"[0-9]+", val):
                     raise FrontendError(f"tensor {name}: rank must be a positive integer, got {val!r}")
                 rank = int(val)
@@ -175,10 +201,11 @@ class Registry:
         metric = None
         for tok in toks[1:]:
             key, _, val = tok.partition("=")
-            if key == "metric":
-                metric = val
-            else:
+            if key != "metric":
                 raise FrontendError(f"unknown option {key!r} in {line!r}")
+            if metric is not None:
+                raise FrontendError(f"bundle {name}: metric given twice in {line!r}")
+            metric = val
         if metric is None:
             raise FrontendError(f"bundle {name}: metric is required")
         self.bundles[name] = Bundle(name, metric)
@@ -231,17 +258,10 @@ class Factor:
 @dataclass
 class TensorMonomial:
     factors: list  # of Factor
-    labels: tuple  # slot (0-based, factors in order) -> label 1..n
+    slots: list  # IndexToken per slot (0-based, factors in order)
+    labels: tuple  # slot -> label 1..n
     classes: list  # IndexClass list in <-order
-    label_info: list  # see CanonProblem
-    dummy_names: dict  # bundle name -> sorted original dummy names
-
-    @property
-    def slots(self):
-        out = []
-        for f in self.factors:
-            out.extend(f.indices)
-        return out
+    label_info: list  # label 1..n -> (text, own, pair); see "Printing"
 
 
 _FACTOR_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)((?:[_^]\{[^{}]*\})*)")
@@ -286,7 +306,8 @@ def parse(text, registry):
 
 
 def _label(factors, registry):
-    """Check that each index name is free or one dummy pair, and label the slots."""
+    """Check that each index name is free or one dummy pair, label the
+    slots, and record how each label prints."""
     bundles = [*registry.bundles.values(), _DEFAULT_BUNDLE]
     slots = [tok for f in factors for tok in f.indices]
     occurrences = {}  # index name -> slot positions
@@ -316,30 +337,27 @@ def _label(factors, registry):
     classes = []
     label_info = [None]  # 1-based
 
-    def assign(pos, info):
+    def assign(pos, keeps_variance, pair=0):
         labels[pos] = len(label_info)
-        label_info.append(info)
+        label_info.append((slots[pos].name, slots[pos].variance if keeps_variance else None, pair))
 
     frees.sort()
     if frees:
         classes.append(IndexClass("free", len(frees)))
     for name in frees:
-        assign(occurrences[name][0], ("free", name, bundles[registry.bundle_index(name)].metric))
-    for (bi, _num, text), where in sorted(components.items()):
+        assign(occurrences[name][0], bundles[registry.bundle_index(name)].metric == "none")
+    for _key, where in sorted(components.items()):
         classes.append(IndexClass("component", len(where)))
         for pos in where:
-            assign(pos, ("component", text, bundles[bi].name))
-    dummy_names = {}
+            assign(pos, False)
     for bi in sorted(dummies):
-        bundle = bundles[bi]
-        names = sorted(dummies[bi])
-        dummy_names[bundle.name] = names
-        classes.append(IndexClass("dummy", len(names), metric=bundle.metric))
-        for k, name in enumerate(names):
-            lo, hi = dummies[bi][name]
-            assign(lo, ("dummy", bundle.name, k, "lower", bundle.metric))
-            assign(hi, ("dummy", bundle.name, k, "upper", bundle.metric))
-    return TensorMonomial(factors, tuple(labels), classes, label_info, dummy_names)
+        metric = bundles[bi].metric
+        classes.append(IndexClass("dummy", len(dummies[bi]), metric=metric))
+        for name in sorted(dummies[bi]):
+            pair = 0 if metric == "none" else len(label_info)
+            for pos in dummies[bi][name]:  # lower leg, then upper
+                assign(pos, metric == "none", pair)
+    return TensorMonomial(factors, slots, tuple(labels), classes, label_info)
 
 
 @dataclass
@@ -352,10 +370,6 @@ class CanonProblem:
     ctx: object  # LabelContext
     subsets: object  # SymmetricSubsets
     classes: list  # IndexClass list in <-order
-    # per label 1..n: ("free", name, metric) | ("component", numeral, bundle)
-    # | ("dummy", bundle, pair index, "lower" | "upper", metric)
-    label_info: list
-    dummy_names: dict  # bundle name -> sorted original dummy names
 
     def label_bsgs(self):
         return LabelBsgs.from_classes(self.classes)
@@ -379,7 +393,7 @@ def build_problem(monomial, registry):
     S = direct_product(chains)
     ctx = build_context(monomial.classes)
     subsets = product_subsets(local_subsets)
-    return CanonProblem(n, g_init, S, ctx, subsets, monomial.classes, monomial.label_info, monomial.dummy_names)
+    return CanonProblem(n, g_init, S, ctx, subsets, monomial.classes)
 
 
 def factor_text(name, tokens):
@@ -394,16 +408,10 @@ def factor_text(name, tokens):
 def render(result, monomial, registry):
     """Render an engine result back to expression text.
 
-    Dummies are renamed: pair k (in label order) of each bundle takes
-    the k-th smallest of the names originally used with that bundle.
-    Each display slot keeps the variance it was written with, except
-    that a metric-bundle pair whose legs land on two slots of equal
-    written variance is normalized to lower-then-upper (the metric
-    raises one leg), so every pair prints one lower and one upper leg.
-    An index of a ``metric=none`` bundle cannot be raised or lowered, so
-    each of its labels prints with the variance it was written with,
-    wherever it lands.  The output re-parses to an equivalent monomial.
-    ``registry`` is not consulted: the monomial carries its labelling.
+    Slot i prints label g[i] as its ``monomial.label_info`` entry says
+    (see "Printing" in the module docstring).  The output re-parses to an
+    equivalent monomial.  ``registry`` is not consulted: the monomial
+    carries its labelling.
     """
     if isinstance(result, CanonResult):
         if result.is_zero:
@@ -411,28 +419,17 @@ def render(result, monomial, registry):
         g = result.g
     else:
         g = result
-    slots = monomial.slots
-    variances = [tok.variance for tok in slots]  # display-slot order
-    written = [None] * (len(slots) + 1)  # label -> variance it was written with
-    for label, tok in zip(monomial.labels, slots):
-        written[label] = tok.variance
-    texts = []
-    pair_slots = {}  # (bundle, pair index) -> display slot positions
-    for slot in range(1, len(slots) + 1):
-        info = monomial.label_info[g[slot]]
-        kind = info[0]
-        texts.append(monomial.dummy_names[info[1]][info[2]] if kind == "dummy" else info[1])
-        if kind != "component" and info[-1] == "none":
-            variances[slot - 1] = written[g[slot]]
-        elif kind == "dummy":
-            pair_slots.setdefault(info[1:3], []).append(slot)
-    for i1, i2 in pair_slots.values():
-        if variances[i1 - 1] == variances[i2 - 1]:
-            variances[i1 - 1], variances[i2 - 1] = "d", "u"
-    parts = []
-    pos = 0
-    for f in monomial.factors:
-        end = pos + len(f.indices)
-        parts.append(factor_text(f.tensor, zip(texts[pos:end], variances[pos:end])))
-        pos = end
+    texts, variances = [], []
+    legs = {}  # lower-leg label of a metric pair -> its two slot positions
+    for pos, tok in enumerate(monomial.slots):
+        text, own, pair = monomial.label_info[g[pos + 1]]
+        texts.append(text)
+        variances.append(own or tok.variance)
+        if pair:
+            legs.setdefault(pair, []).append(pos)
+    for i, j in legs.values():
+        if variances[i] == variances[j]:
+            variances[i], variances[j] = "d", "u"
+    printed = zip(texts, variances)
+    parts = [factor_text(f.tensor, islice(printed, len(f.indices))) for f in monomial.factors]
     return ("-" if g.sign < 0 else "") + " ".join(parts)

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import signal
 import time
 
@@ -134,6 +135,10 @@ def test_fit_exponent_recovers_power_law():
     times = [s ** 2.5 for s in sizes]
     assert abs(fit_exponent(sizes, times) - 2.5) < 1e-6
     assert fit_exponent([4], [1.0]) != fit_exponent([4], [1.0])  # NaN
+
+
+def test_fit_exponent_needs_two_distinct_sizes():
+    assert math.isnan(fit_exponent([2, 4, 8, 8], [1.0, 2.0, 3.0, 4.0]))
 
 
 def test_budget_interrupts_the_body_and_restores_the_handler():

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import tensorcanon
 from tensorcanon import cli
+
+SRC = os.path.dirname(os.path.dirname(tensorcanon.__file__))
 
 
 def test_canon_prints_result(capsys):
@@ -49,3 +56,16 @@ def test_bad_argument_is_one_line_and_status_2(argv, message, capsys):
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_canon_reads_a_declarations_file(tmp_path, capsys):
+    decls = tmp_path / "decls.txt"
+    decls.write_text("# an antisymmetric pair\n\ntensor A rank=2 asym=1..2\n")
+    assert cli.main(["canon", "--decls", str(decls), "A_{2 1}"]) == 0
+    assert capsys.readouterr().out == "-A_{1 2}\n"
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is for the oracle only; the command line should not pay for it
+    code = "import sys, tensorcanon.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})

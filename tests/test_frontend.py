@@ -52,6 +52,10 @@ def test_declaration_errors():
         reg.declare("bundle v")  # no metric
     with pytest.raises(FrontendError):
         reg.declare("bundle v metric=diagonal")
+    with pytest.raises(FrontendError):
+        reg.declare("tensor T rank=2 rank=3")  # rank given twice
+    with pytest.raises(FrontendError):
+        reg.declare("bundle b metric=none metric=symmetric")  # metric given twice
 
 
 @pytest.mark.parametrize("line", [
@@ -105,10 +109,8 @@ def test_label_order_frees_components_dummies():
     prob = build_problem(mono, reg)
     # frees a,b first; then the component class for numeral 1; then the
     # x dummy pair
-    kinds = [prob.label_info[i][0] for i in range(1, 7)]
-    assert kinds == ["free", "free", "component", "component", "dummy", "dummy"]
-    assert prob.label_info[1][1] == "a"
-    assert prob.label_info[2][1] == "b"
+    assert [text for text, _own, _pair in mono.label_info[1:]] == ["a", "b", "1", "1", "x", "x"]
+    assert [(c.kind, c.size) for c in prob.classes] == [("free", 2), ("component", 2), ("dummy", 1)]
     assert prob.ctx.groups_list()[:2] == [GroupCode.NONE, GroupCode.NONE]
     assert prob.ctx.groups_list()[2:4] == [GroupCode.COMPONENT, GroupCode.COMPONENT]
     assert prob.ctx.groups_list()[4:] == [GroupCode.S_DUMMY, GroupCode.S_DUMMY]
@@ -240,6 +242,17 @@ def test_no_metric_bundle_prints_own_variance(decls, expr, expected):
     # to whichever slot it lands on; the output is its own canonical form
     assert canon_text(decls, expr) == expected
     assert canon_text(decls, expected) == expected
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "free indices of a metric bundle print the variance of the slot they land on; "
+    "giving free labels their own variance changes the totalsym-shared digest in "
+    "perfbench/digests.json, so the fix is left for the change that re-records it"
+))
+def test_free_index_keeps_its_variance():
+    decls = "tensor S rank=2 sym=1..2"
+    assert canon_text(decls, "S^{a}_{b}") == "S^{a}_{b}"
+    assert canon_text(decls, "S_{b}^{a}") == "S^{a}_{b}"
 
 
 def test_no_metric_bundle_outputs_are_fixed_points():
