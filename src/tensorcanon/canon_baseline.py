@@ -6,154 +6,80 @@ fixed, every label relabelling that brings the least reachable label
 into the slot spawns a candidate.  Duplicates are removed by sorting;
 a +g/-g collision means the monomial vanishes.
 
-The label group L is carried as its own stabilizer chain over the label
-space (:class:`LabelBsgs`).  After each slot pass the consumed label is
-moved to the front of the remaining base — by conjugating the
-structural generators with a block swap when the consumed label is a
-same-class aligned leg, otherwise by repositioning the base point.
+The label group L is carried as its structural generators over the
+label space (:class:`LabelBsgs`).  Each slot pass reads orbits and
+coset representatives off BFS Schreier trees over the generators that
+fix every label consumed so far, which generate the pointwise
+stabilizer of those labels in L.
 """
 
 from __future__ import annotations
 
 from .canon_fast import CanonResult
-from .label_context import GroupCode
 from .perm_group import SchreierTree
-from .signed_perm import from_signed_cycles, compose, identity
+from .signed_perm import from_signed_cycles, compose
 
 
 class LabelBsgs:
-    """Stabilizer chain of the label group over labels 1..n.
+    """The label group over labels 1..n, as its structural generators.
 
-    ``base`` starts as <1..n>; ``consumed`` marks how many base points
-    are pinned.  Level i generators are the structural generators fixing
-    the first i-1 base points; orbits and coset representatives come
-    from BFS Schreier trees over those generators.
+    Each class moves only its own labels.  A component class of k
+    labels has the k-1 adjacent transpositions; a dummy class has, for
+    each pair, the swap of its legs when the bundle has a metric (signed
+    for an antisymmetric one), then the swap of each pair with the next,
+    lower leg onto lower leg.
+
+    :meth:`stabilizer_gens` keeps the generators that fix a set of
+    pinned labels.  They generate the whole pointwise stabilizer when,
+    in every class, the blocks holding a pinned label (a component label
+    or a dummy pair) come first, because every element of the stabilizer
+    permutes only the later blocks and those generators reach all such
+    permutations.  The engine pins one label per pass, the least of an
+    orbit under the current stabilizer, and that keeps the blocks holding
+    a pinned label first.  Such an orbit either lies in the blocks
+    already holding a pinned label, where the stabilizer fixes every
+    label (a pair moves as a whole, so pinning one leg fixes the other),
+    or in the later blocks, where it meets the first of them (all their
+    component labels; under a metric all their legs; without one all
+    their lower or all their upper legs), so its least label lies there.
     """
 
-    def __init__(self, n, gens, base, pair_partner, leg_kind, class_of):
+    def __init__(self, n, gens):
         self.n = n
-        self.gens = list(gens)
-        self.base = list(base)
-        # label -> partner label for dummy legs (absent for others)
-        self.pair_partner = dict(pair_partner)
-        # label -> GroupCode of its class at build time
-        self.leg_kind = dict(leg_kind)
-        # label -> index of its class in the <-ordered class list
-        self.class_of = dict(class_of)
+        self.gens = gens
 
     @classmethod
     def from_classes(cls, classes):
         """Build from the <-ordered class list (see label_context.build)."""
+        n = sum(c.size if c.kind in ("free", "component") else 2 * c.size for c in classes)
         gens = []
-        pair_partner = {}
-        leg_kind = {}
-        class_of = {}
         label = 1
-        total = sum(
-            c.size if c.kind in ("free", "component") else 2 * c.size for c in classes
-        )
-        n = total
-        for ci, c in enumerate(classes):
+        for c in classes:
             if c.kind == "free":
-                for _ in range(c.size):
-                    leg_kind[label] = GroupCode.NONE
-                    class_of[label] = ci
-                    label += 1
+                label += c.size
             elif c.kind == "component":
-                for k in range(c.size):
-                    leg_kind[label] = GroupCode.COMPONENT
-                    class_of[label] = ci
-                    if k > 0:
-                        gens.append(from_signed_cycles(n, 1, [(label - 1, label)]))
-                    label += 1
+                gens += [from_signed_cycles(n, 1, [(a, a + 1)]) for a in range(label, label + c.size - 1)]
+                label += c.size
             elif c.kind == "dummy":
-                pairs = []
-                for _ in range(c.size):
-                    lo, hi = label, label + 1
-                    pairs.append((lo, hi))
-                    pair_partner[lo] = hi
-                    pair_partner[hi] = lo
-                    class_of[lo] = class_of[hi] = ci
-                    if c.metric == "symmetric":
-                        leg_kind[lo] = leg_kind[hi] = GroupCode.S_DUMMY
-                        gens.append(from_signed_cycles(n, 1, [(lo, hi)]))
-                    elif c.metric == "antisymmetric":
-                        leg_kind[lo] = leg_kind[hi] = GroupCode.A_DUMMY
-                        gens.append(from_signed_cycles(n, -1, [(lo, hi)]))
-                    elif c.metric == "none":
-                        leg_kind[lo] = GroupCode.L_DUMMY
-                        leg_kind[hi] = GroupCode.U_DUMMY
-                    else:
-                        raise ValueError(f"unknown metric {c.metric!r}")
-                    label += 2
-                for (a_lo, a_hi), (b_lo, b_hi) in zip(pairs, pairs[1:]):
-                    gens.append(from_signed_cycles(n, 1, [(a_lo, b_lo), (a_hi, b_hi)]))
+                if c.metric not in ("symmetric", "antisymmetric", "none"):
+                    raise ValueError(f"unknown metric {c.metric!r}")
+                lows = range(label, label + 2 * c.size, 2)
+                if c.metric != "none":
+                    sign = 1 if c.metric == "symmetric" else -1
+                    gens += [from_signed_cycles(n, sign, [(lo, lo + 1)]) for lo in lows]
+                gens += [from_signed_cycles(n, 1, [(lo - 2, lo), (lo - 1, lo + 1)]) for lo in lows[1:]]
+                label += 2 * c.size
             else:
                 raise ValueError(f"unknown class kind {c.kind!r}")
-        return cls(n, gens, range(1, n + 1), pair_partner, leg_kind, class_of)
+        return cls(n, gens)
 
-    def copy(self):
-        return LabelBsgs(self.n, self.gens, self.base, self.pair_partner, self.leg_kind, self.class_of)
-
-    def level_gens(self, level):
-        """Structural generators fixing the first level-1 base points."""
-        pinned = self.base[: level - 1]
+    def stabilizer_gens(self, pinned):
+        """The generators fixing every label in ``pinned``."""
         return [g for g in self.gens if all(g[b] == b for b in pinned)]
-
-    def orbit_tree(self, level, root):
-        """BFS tree of ``root``'s orbit under the level stabilizer."""
-        return SchreierTree(root, self.level_gens(level), self.n + 2)
-
-    def reorder_base(self, level, label):
-        """Move ``label`` to base position ``level`` (1-based); returns a new chain.
-
-        When the current base point and ``label`` belong to the same
-        class and an aligned block swap exists in L that exchanges them
-        while fixing the already-pinned points, the generators are
-        conjugated by it, keeping the chain strong with respect to the
-        new base.  Otherwise ``label`` is simply repositioned: classes
-        act independently on disjoint label blocks, so pinning a point
-        of another class first never weakens the chain.
-        """
-        new = self.copy()
-        cur = new.base[level - 1]
-        if cur == label:
-            return new
-        sigma = self._aligned_swap(cur, label)
-        if sigma is not None and all(sigma[b] == b for b in new.base[: level - 1]):
-            new.gens = [compose(sigma, compose(g, sigma)) for g in new.gens]
-            new.base = [sigma[b] for b in new.base]
-            return new
-        new.base.remove(label)
-        new.base.insert(level - 1, label)
-        return new
-
-    def _aligned_swap(self, cur, label):
-        """A self-inverse element of L exchanging ``cur`` and ``label``, if one exists."""
-        ka, kb = self.leg_kind.get(cur), self.leg_kind.get(label)
-        if ka != kb or ka in (None, GroupCode.NONE):
-            return None
-        if self.class_of.get(cur) != self.class_of.get(label):
-            return None
-        n = self.n
-        if ka == GroupCode.COMPONENT:
-            return from_signed_cycles(n, 1, [(cur, label)])
-        pc, pl = self.pair_partner[cur], self.pair_partner[label]
-        if pl == cur:
-            # same pair: the intra-pair swap (signed for antisymmetric)
-            if ka == GroupCode.S_DUMMY:
-                return from_signed_cycles(n, 1, [(cur, label)])
-            if ka == GroupCode.A_DUMMY:
-                return from_signed_cycles(n, -1, [(cur, label)])
-            return None  # no metric: legs cannot cross
-        if ka in (GroupCode.S_DUMMY, GroupCode.A_DUMMY, GroupCode.L_DUMMY, GroupCode.U_DUMMY):
-            # block swap of the two pairs keeps leg characters aligned
-            return from_signed_cycles(n, 1, [(cur, label), (pc, pl)])
-        return None
 
 
 def butler_portugal(g_init, S, L, trace=None):
-    """Canonicalize ``g_init`` with slot group ``S`` and label chain ``L``.
+    """Canonicalize ``g_init`` with slot group ``S`` and label group ``L``.
 
     Returns a :class:`~tensorcanon.canon_fast.CanonResult`.  ``trace``,
     if given, receives ``configs_per_slot`` and ``max_configs``.
@@ -168,18 +94,19 @@ def butler_portugal(g_init, S, L, trace=None):
 
     if len(S.orbit_of(n + 1)) > 1:  # -1 is a slot symmetry: everything vanishes
         return finish(CanonResult.zero(), [])
-    L = L.copy()
+    pinned = []  # the label each pass consumed
     configs = [g_init]
     counts = []
     for i in range(1, n + 1):
         orbit = S.orbit_of(i)
+        gens = L.stabilizer_gens(pinned)
         # Phase 1: the globally least label reachable in slot i's orbit,
         # and per (configuration, slot) the relabelling reaching it.
         cache = {}
 
         def reach(label):
             if label not in cache:
-                tree = L.orbit_tree(i, label)
+                tree = SchreierTree(label, gens, n + 2)
                 cache[label] = (min(tree.orbit), tree)
             return cache[label]
 
@@ -193,9 +120,7 @@ def butler_portugal(g_init, S, L, trace=None):
                     pairs = [(k, j)]
                 elif least == global_least:
                     pairs.append((k, j))
-        # Keep the label chain's invariant for the next level: the
-        # consumed label becomes base point i.
-        L_next = L.reorder_base(i, global_least)
+        pinned.append(global_least)
         # Phase 2: spawn the candidates.  The tree rooted at g[j] gives
         # the relabelling sending g[j] to the least label directly.
         out = []
@@ -205,7 +130,6 @@ def butler_portugal(g_init, S, L, trace=None):
             ell = tree.rep(global_least)
             s = S.coset_rep(i, j)
             out.append(compose(ell, compose(g, s)))
-        L = L_next
         out.sort(key=lambda g: g.images)
         configs = []
         for g in out:

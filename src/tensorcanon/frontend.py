@@ -49,13 +49,17 @@ Printing
   are labelled in name order, so pair k of a bundle prints as the k-th
   smallest of the names originally used with that bundle.
 * ``own`` is the written variance of a free or dummy index of a
-  ``metric=none`` bundle, which cannot be raised or lowered; else None.
-* ``pair`` is the lower-leg label of a metric-bundle dummy pair; else 0.
+  ``metric=none`` bundle, which cannot be raised or lowered, and of a
+  dummy index of a ``metric=antisymmetric`` bundle, whose legs the
+  engines exchange only at the cost of a sign, so the lower-leg label
+  always prints lower; else None.
+* ``pair`` is the lower-leg label of a ``metric=symmetric`` dummy pair;
+  else 0.
 
 :func:`render` prints each slot as ``text`` with ``own``, or else with
-the variance written at that slot.  A metric pair whose legs land on two
-slots of equal variance prints lower then upper: the metric raises one
-leg, so every pair prints one lower and one upper leg.
+the variance written at that slot.  A symmetric-metric pair whose legs
+land on two slots of equal variance prints lower then upper: the metric
+raises one leg, so every pair prints one lower and one upper leg.
 
 Known defect: a free index of a metric bundle takes the variance of the
 slot it lands on, not its own.  For symmetric ``S``, ``S_{b}^{a}`` prints
@@ -353,10 +357,11 @@ def _label(factors, registry):
     for bi in sorted(dummies):
         metric = bundles[bi].metric
         classes.append(IndexClass("dummy", len(dummies[bi]), metric=metric))
+        keeps_variance = metric != "symmetric"
         for name in sorted(dummies[bi]):
-            pair = 0 if metric == "none" else len(label_info)
+            pair = 0 if keeps_variance else len(label_info)
             for pos in dummies[bi][name]:  # lower leg, then upper
-                assign(pos, metric == "none", pair)
+                assign(pos, keeps_variance, pair)
     return TensorMonomial(factors, slots, tuple(labels), classes, label_info)
 
 

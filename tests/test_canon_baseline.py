@@ -6,6 +6,8 @@ from tensorcanon.bench import budget
 from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
 from tensorcanon.frontend import Registry, parse, build_problem, render
 from tensorcanon.label_context import IndexClass
+from tensorcanon.oracle import enumerate_label_group
+from tensorcanon.perm_group import SchreierTree
 from tensorcanon.signed_perm import compose, from_signed_cycles, parse_array
 
 
@@ -71,48 +73,54 @@ def test_no_symmetry_is_identity():
     assert result.g == prob.g_init
 
 
-def test_label_chain_orbits():
-    # 3 metric dummy pairs: level-1 orbit of label 1 is the whole class
-    L = LabelBsgs.from_classes([IndexClass("dummy", 3, metric="symmetric")])
-    tree = L.orbit_tree(1, 1)
-    assert sorted(tree.orbit) == [1, 2, 3, 4, 5, 6]
+def orbit(L, pinned, root):
+    return sorted(SchreierTree(root, L.stabilizer_gens(pinned), L.n + 2).orbit)
+
+
+def test_label_group_orbits():
+    # 3 metric dummy pairs: with nothing pinned, label 1 reaches the whole class
+    for metric in ("symmetric", "antisymmetric"):
+        L = LabelBsgs.from_classes([IndexClass("dummy", 3, metric=metric)])
+        assert orbit(L, [], 1) == [1, 2, 3, 4, 5, 6]
     # without a metric, a lower leg only reaches the other lower legs
     Ln = LabelBsgs.from_classes([IndexClass("dummy", 3, metric="none")])
-    assert sorted(Ln.orbit_tree(1, 1).orbit) == [1, 3, 5]
-    assert sorted(Ln.orbit_tree(1, 2).orbit) == [2, 4, 6]
+    assert orbit(Ln, [], 1) == [1, 3, 5]
+    assert orbit(Ln, [], 2) == [2, 4, 6]
 
 
-def test_reorder_base_conjugation_keeps_chain():
-    # moving label 3 to the front of a 2-pair metric class conjugates
-    # the generators; the new level-2 stabilizer must fix 3
+def test_stabilizer_of_pinned_labels_fixes_them():
+    # pinning a leg of a 2-pair metric class keeps only generators fixing
+    # it; a pair moves as a whole, so its other leg stays put as well
     L = LabelBsgs.from_classes([IndexClass("dummy", 2, metric="symmetric")])
-    L2 = L.reorder_base(1, 3)
-    assert L2.base[0] == 3
-    for g in L2.level_gens(2):
-        assert g[3] == 3
+    for pinned in ([1], [3]):
+        gens = L.stabilizer_gens(pinned)
+        assert len(gens) == 1, pinned
+        assert all(g[b] == b for g in gens for b in pinned)
+    assert L.stabilizer_gens([1, 3]) == []
+    assert orbit(L, [1], 2) == [2]
+    assert orbit(L, [1], 3) == [3, 4]
 
 
-def test_reorder_base_across_classes_repositions():
+def test_pinning_another_class_keeps_its_generators():
     # labels in different component classes have no exchanging element;
-    # the base point is repositioned instead of conjugating
+    # pinning label 3 drops only its own class's transposition
     L = LabelBsgs.from_classes([IndexClass("component", 2), IndexClass("component", 2)])
-    L2 = L.reorder_base(1, 3)
-    assert L2.base[0] == 3
-    # generators are untouched: conjugating by a cross-class swap would
-    # leave the chain claiming exchanges that L does not contain
-    assert L2.gens == L.gens
+    assert L.stabilizer_gens([3]) == [g for g in L.gens if g[1] != 1]
+    assert L.stabilizer_gens([1]) == [g for g in L.gens if g[3] != 3]
+    assert orbit(L, [3], 1) == [1, 2]
 
 
 def test_orbit_reps_are_group_elements():
-    L = LabelBsgs.from_classes(
-        [IndexClass("free", 1), IndexClass("dummy", 2, metric="antisymmetric")]
-    )
-    tree = L.orbit_tree(1, 2)
+    classes = [IndexClass("free", 1), IndexClass("dummy", 2, metric="antisymmetric")]
+    L = LabelBsgs.from_classes(classes)
+    group = set(enumerate_label_group(classes, L.n))
+    tree = SchreierTree(2, L.stabilizer_gens([]), L.n + 2)
     for t in sorted(tree.orbit):
         u = tree.rep(t)
         assert u[2] == t
-        # reps are words in the structural generators, hence in L
-        # (spot-check: pairs move together)
+        # reps are words in the structural generators, hence in L,
+        # so pairs move together
+        assert u in group
         for lo in (2, 4):
             hi = lo + 1
             assert {u[lo], u[hi]} in ({2, 3}, {4, 5})

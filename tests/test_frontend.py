@@ -244,6 +244,14 @@ def test_no_metric_bundle_prints_own_variance(decls, expr, expected):
     assert canon_text(decls, expected) == expected
 
 
+def test_antisymmetric_metric_pair_prints_own_variance():
+    # exchanging the legs of an antisymmetric-metric pair costs a sign,
+    # so each leg keeps its variance: the sign and the printed legs agree
+    decls = "bundle m metric=antisymmetric\ntensor T rank=2"
+    assert canon_text(decls, "T^{m1}_{m1}") == "-T_{m1}^{m1}"
+    assert canon_text(decls, "T_{m1}^{m1}") == "T_{m1}^{m1}"
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "free indices of a metric bundle print the variance of the slot they land on; "
     "giving free labels their own variance changes the totalsym-shared digest in "

@@ -7,10 +7,14 @@ the benchmark families never use.
   canon(g).  This holds at any size, far beyond the oracle's reach.
 * Oracle fuzz: component indices and bundles with an antisymmetric metric
   or none at all, at n <= 8, against the brute-force oracle.
+* Mixed fuzz outputs are fixed points: each non-zero output, re-parsed
+  without its sign, canonicalizes to itself.
 * The fast engine's shortcuts, each checked where it is taken: a zero
   check it skips would have passed, a renaming it skips would have been
   the identity, and each renaming of unconsumed labels is a label-group
   element that fixes every consumed label.
+* The baseline's filtered label generators: at every pass they reach
+  the same orbits as the label-group elements fixing the consumed labels.
 
 Every test is seeded, so a failure reproduces.
 """
@@ -22,10 +26,11 @@ import pytest
 
 from tensorcanon import canon_fast
 from tensorcanon.bench import FAMILIES, generate
-from tensorcanon.canon_baseline import butler_portugal
-from tensorcanon.frontend import Registry, build_problem, factor_text, parse
+from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
+from tensorcanon.frontend import Registry, build_problem, factor_text, parse, render
 from tensorcanon.label_context import GroupCode, first_appearance_renaming, update_context
 from tensorcanon.oracle import brute_force_canonicalize, enumerate_group, enumerate_label_group
+from tensorcanon.perm_group import SchreierTree
 from tensorcanon.signed_perm import SignedPermutation, compose, identity
 
 BUNDLES = "bundle a metric=none\nbundle b metric=antisymmetric\nbundle c metric=symmetric"
@@ -193,6 +198,23 @@ def test_oracle_fuzz_components_and_metricless_bundles():
     assert checked == 4000 and 0 < zeros < checked
 
 
+def test_mixed_outputs_recanonicalize_to_themselves():
+    rng = random.Random(5)
+    nonzero = 0
+    for trial in range(3000):
+        decls, expr = random_mixed_problem(rng, 10)
+        reg = Registry()
+        reg.declare_all(decls)
+        mono = parse(expr, reg)
+        out = render(build_problem(mono, reg).canonicalize(), mono, reg).lstrip("-")
+        if out == "0":
+            continue
+        nonzero += 1
+        again = parse(out, reg)
+        assert render(build_problem(again, reg).canonicalize(), again, reg) == out, (trial, decls, expr, out)
+    assert nonzero > 2000, nonzero
+
+
 def test_double_coset_invariance_on_large_riemann_contractions():
     # 32 to 48 slots, past the bench-family test's 24: the sizes where
     # keeping one configuration per arrangement g drops the most
@@ -329,3 +351,39 @@ def test_renamings_are_label_elements_fixing_consumed_labels(monkeypatch):
             for blocks in met.values():
                 assert blocks == sorted(blocks), (ctx, labels, lam)
     assert moved > 0 and kinds == {"component", "dummy"}
+
+
+def test_baseline_label_generators_reach_the_whole_stabilizer(monkeypatch):
+    """The generators fixing the consumed labels move each label as far as L's elements that fix them.
+
+    ``LabelBsgs.stabilizer_gens`` only filters the structural generators.
+    That gives the whole pointwise stabilizer only while, in every class,
+    the blocks holding a consumed label come first (see ``LabelBsgs``).
+    """
+    stabilizer_gens = LabelBsgs.stabilizer_gens
+    seen = []
+
+    def recorded(self, pinned):
+        gens = stabilizer_gens(self, pinned)
+        seen.append((tuple(pinned), gens))
+        return gens
+
+    monkeypatch.setattr(LabelBsgs, "stabilizer_gens", recorded)
+    rng = random.Random(9)
+    problems = [generate(family, size, trial).problem for family in FAMILIES for size in (1, 2, 3) for trial in range(2)]
+    problems += [make_problem(*random_mixed_problem(rng, 8)) for _ in range(1000)]
+    checked = 0
+    kinds = set()
+    for prob in problems:
+        seen.clear()
+        butler_portugal(prob.g_init, prob.S, prob.label_bsgs())
+        group = enumerate_label_group(prob.classes, prob.n).array[:, : prob.n]
+        for pinned, gens in seen:
+            stabilizer = group[(group[:, [b - 1 for b in pinned]] == pinned).all(axis=1)]
+            for x in range(1, prob.n + 1):
+                orbit = sorted(SchreierTree(x, gens, prob.n + 2).orbit)
+                assert orbit == sorted(set(stabilizer[:, x - 1].tolist())), (prob.classes, pinned, x)
+            checked += 1
+        kinds.update((c.kind, c.metric) for c in prob.classes)
+    assert checked > 1000, checked
+    assert {("component", None), ("dummy", "none"), ("dummy", "antisymmetric"), ("dummy", "symmetric")} <= kinds
