@@ -31,6 +31,7 @@ may read every entry, whichever configuration recorded it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from operator import itemgetter
 
 from .label_context import GroupCode, first_appearance_renaming, update_context, label_permutation_from_group
@@ -154,11 +155,8 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
 
 
 def _remove_singletons(prop):
-    counts = {}
-    for v in prop:
-        if v != 0:
-            counts[v] = counts.get(v, 0) + 1
-    return [v if v == 0 or counts[v] > 1 else 0 for v in prop]
+    counts = Counter(prop)
+    return [v if counts[v] > 1 else 0 for v in prop]
 
 
 def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
@@ -213,7 +211,7 @@ def _table(perm):
     return bytes((0,) + perm.images) + _IDENTITY_TABLE[len(perm.images) + 1:]
 
 
-def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop, ordered, lpfgs, reps):
+def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop, ordered, lpfgs):
     """Extend ``out`` with the slot-i descendants of configuration (g, s).
 
     Instances landing in an already-visited symmetric subset are skipped:
@@ -229,10 +227,8 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     ``lpfgs`` maps a label to its ``label_permutation_from_group(ctx,
     label, least_value)`` and that permutation's :func:`_table`; one
     dict, shared by a whole slot pass, builds each of them once.
-    ``reps`` maps an orbit slot p to ``S.tree(i).moves(p)``, the points
-    slot i's coset representative for p moves.  The tree builds each
-    representative once for the whole declaration; the per-pass dict
-    only saves shifting its moved points into place again.
+    ``S.tree(i).moves(p)`` gives the points slot i's coset
+    representative for p moves; the tree keeps them from their first use.
 
     Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked,
     ordered)``: g is translated through ltilde's table, then the result
@@ -248,6 +244,7 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     visited = set()
     entries = subsets.entries
     partner = ctx.partner
+    moves = S.tree(i).moves
     for p, q in instances:
         label = g[q - 1]
         if entries[p] != 0:
@@ -271,9 +268,7 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
             table = _table(compose(lpfg[0], swap))
         else:
             table = lpfg[1]
-        slots = reps.get(p)
-        if slots is None:
-            slots = reps[p] = S.tree(i).moves(p)
+        slots = moves(p)
         relabelled = g.translate(table)
         if slots:
             child, child_s = bytearray(relabelled), bytearray(s)
@@ -318,7 +313,8 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     (the context and the least value are fixed within a pass), with its
     translation table.  Coset representatives and the points they move
     are built once per declaration and kept on its chain's trees (see
-    :class:`~tensorcanon.perm_group.SchreierTree`); a pass reads them as
+    :class:`~tensorcanon.perm_group.SchreierTree`), and shifted into place
+    once per product of declarations; a pass reads them as
     ``S.tree(i).moves(p)``.  A child is its parent's g translated
     through the label element's table, then patched, with a copy of s,
     on those points; it shares its parent's s when the representative
@@ -326,9 +322,11 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     ``prop`` is replaced, never mutated, and an update that adds no entry
     returns it as it was.
 
-    After each pass the sorted configurations keep one per signed
-    arrangement g, the one with the least s.  +g and -g stay apart, so
-    the scan that finds them side by side still proves zeros.  Dropping
+    After each pass with more than one child, the sorted configurations
+    keep one per signed arrangement g, the one with the least s.  +g and
+    -g stay apart, so the scan that finds them side by side still proves
+    zeros.  A pass with one child keeps it as it is: there is nothing to
+    rename, merge or compare it with.  Dropping
     (g, s2) for (g, s1) is sound for these reasons:
 
     * Nothing false is added.  An odd family marks initial slots inside
@@ -439,7 +437,6 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
         least_value, instances = get_least_value_instances(i, orbit, configs, ctx, prop)
         out = []
         lpfgs = {}
-        reps = {}
         for (g, s, checked, ordered), inst in zip(configs, instances):
             if not inst:
                 continue
@@ -451,10 +448,13 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
                 )
             if prop is not checked and zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                 return finish(CanonResult.zero(), counts)
-            append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop, ordered, lpfgs, reps)
+            append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop, ordered, lpfgs)
         ctx = update_context(ctx, least_value)
-        if len(out) > 1:
-            out = [c if c[3] else _renamed(ctx, c, i) for c in out]
+        if len(out) == 1:
+            configs = out
+            counts.append(1)
+            continue
+        out = [c if c[3] else _renamed(ctx, c, i) for c in out]
         out.sort(key=itemgetter(0, 1))
         configs = []
         for c in out:

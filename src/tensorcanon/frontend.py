@@ -23,9 +23,10 @@ Expressions
 Factors are separated by whitespace or ``*``.  Each factor is a tensor
 name followed by index groups ``_{...}`` (lower) and ``^{...}`` (upper);
 tokens inside groups are separated by whitespace.  An all-digit token is
-a component label; other tokens are index names.  Every non-component
-name must appear exactly once (free) or exactly twice, once lower and
-once upper (dummy).  A monomial has at most 253 slots
+a component label, written without leading zeros (``01`` is refused, so
+each numeral has one spelling); other tokens are index names.  Every
+non-component name must appear exactly once (free) or exactly twice,
+once lower and once upper (dummy).  A monomial has at most 253 slots
 (``canon_fast.MAX_SLOTS``: the fast engine keeps a configuration's n
 slots and its sign pair as bytes); :func:`parse` refuses a longer one.
 
@@ -73,8 +74,13 @@ Slot group
 The frontend models no exchange of equal factors, so a monomial's slot
 group is the product of its factors' groups, which share only the sign.
 Each :class:`TensorDecl` computes its own chain and symmetric subsets on
-first use and keeps them; :func:`build_problem` shifts them into place
-for every monomial (``perm_group.direct_product``).
+first use and keeps them.  The :class:`Registry` keeps one product
+(``perm_group.direct_product``) per sequence of declarations that
+:func:`build_problem` has met, for its whole life: every monomial whose
+factors were bound to the same declarations, in the same order, shares
+one slot chain and one set of subsets.  Declarations are compared by
+identity, so a redeclared tensor starts a new product and the old one
+stays with the monomials parsed before.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ class FrontendError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class TensorDecl:
     name: str
     rank: int
@@ -134,11 +140,13 @@ class Bundle:
 
 
 class Registry:
-    """Declared tensors and index bundles."""
+    """Declared tensors and index bundles, and the slot products built from them."""
 
     def __init__(self):
         self.tensors = {}
         self.bundles = {}  # name -> Bundle; declaration order matters for label order
+        # tuple of TensorDecl, one per factor -> (slot Bsgs, SymmetricSubsets)
+        self.products = {}
 
     def declare(self, line):
         """Parse one declaration line (``tensor ...`` or ``bundle ...``)."""
@@ -292,7 +300,8 @@ def parse(text, registry):
         for gm in _GROUP_RE.finditer(groups):
             variance = "d" if gm.group(1) == "_" else "u"
             for tok in gm.group(2).split():
-                if not re.fullmatch(r"[A-Za-z0-9]+", tok):
+                # a numeral has one spelling: no leading zero
+                if not (tok.isascii() and tok.isalnum()) or (tok.isdigit() and tok.startswith("0") and tok != "0"):
                     raise FrontendError(f"malformed index token {tok!r}")
                 indices.append(IndexToken(tok, variance))
         decl = registry.tensors[name]
@@ -315,10 +324,10 @@ def _label(factors, registry):
     bundles = [*registry.bundles.values(), _DEFAULT_BUNDLE]
     slots = [tok for f in factors for tok in f.indices]
     occurrences = {}  # index name -> slot positions
-    components = {}  # (bundle index, numeral, text) -> slot positions
+    components = {}  # (bundle index, numeral) -> slot positions
     for pos, tok in enumerate(slots):
         if tok.is_component:
-            key = (registry.bundle_index(tok.name), int(tok.name), tok.name)
+            key = (registry.bundle_index(tok.name), int(tok.name))
             components.setdefault(key, []).append(pos)
         else:
             occurrences.setdefault(tok.name, []).append(pos)
@@ -387,17 +396,22 @@ def build_problem(monomial, registry):
     """Translate a parsed monomial into a canonicalization problem.
 
     The labels are the ones :func:`parse` assigned.  The slot group and
-    its symmetric subsets are assembled from each factor's cached chain
-    (:meth:`TensorDecl.chain`), shifted to the factor's slots; nothing is
-    recomputed for a declaration seen before.  ``registry`` is not
-    consulted: each factor keeps the declaration :func:`parse` bound.
+    its symmetric subsets come from ``registry.products``, keyed by the
+    declarations :func:`parse` bound to the factors, in order.  The first
+    monomial with a new key assembles them from each factor's cached
+    chain (:meth:`TensorDecl.chain`), shifted to the factor's slots;
+    every later one shares that product.  The registry's current
+    declarations are not consulted.
     """
     n = len(monomial.labels)
     g_init = SignedPermutation(monomial.labels + (n + 1, n + 2))
-    chains, local_subsets = zip(*(f.decl.chain() for f in monomial.factors))
-    S = direct_product(chains)
+    decls = tuple(f.decl for f in monomial.factors)
+    product = registry.products.get(decls)
+    if product is None:
+        chains, local_subsets = zip(*(decl.chain() for decl in decls))
+        product = registry.products[decls] = (direct_product(chains), product_subsets(local_subsets))
+    S, subsets = product
     ctx = build_context(monomial.classes)
-    subsets = product_subsets(local_subsets)
     return CanonProblem(n, g_init, S, ctx, subsets, monomial.classes)
 
 

@@ -38,7 +38,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .signed_perm import SignedPermutation, from_signed_cycles, identity
+from .signed_perm import SignedPermutation, identity
 
 
 class GroupCode(enum.IntEnum):
@@ -67,12 +67,12 @@ class IndexClass:
 
 
 class LabelContext:
-    """Values, Label-Groups and partner arrays, 1-based (index 0 unused)."""
+    """Values, Label-Groups and partner arrays, 1-based (index 0 unused), kept as given."""
 
     def __init__(self, values, groups, partner):
-        self.values = list(values)
-        self.groups = list(groups)
-        self.partner = tuple(partner)
+        self.values = values
+        self.groups = groups
+        self.partner = partner
 
     @property
     def n(self):
@@ -82,15 +82,16 @@ class LabelContext:
     def blocks(self):
         """``(block, run)`` for the unconsumed labels, built on first use.
 
-        ``block[x]`` is the lower leg of x's dummy pair, or x itself for a
-        component label, and 0 for a label of group NONE.  ``run`` lists
-        the distinct blocks in increasing order.
+        ``block`` is a 256-byte ``bytes.translate`` table: ``block[x]`` is
+        the lower leg of x's dummy pair, or x itself for a component
+        label, and 0 for a label of group NONE and for every byte above
+        n.  ``run`` lists the distinct nonzero blocks in increasing order.
         """
-        block = [0] * len(self.values)
+        block = bytearray(256)
         for x, group in enumerate(self.groups):
             if group != GroupCode.NONE:
                 block[x] = min(x, self.partner[x]) if self.partner[x] else x
-        return block, sorted(set(block) - {0})
+        return bytes(block), sorted(set(block) - {0})
 
     def values_list(self):
         return list(self.values[1:])
@@ -137,7 +138,7 @@ def build(classes):
                 label += 2
         else:
             raise ValueError(f"unknown class kind {cls.kind!r}")
-    return LabelContext(values, groups, partner)
+    return LabelContext(values, groups, tuple(partner))
 
 
 def label_permutation_from_group(ctx, label, least_value):
@@ -154,31 +155,36 @@ def label_permutation_from_group(ctx, label, least_value):
     n = ctx.n
     if label == least_value:
         return identity(n)
+    images = list(range(1, n + 3))
     partner = ctx.partner
     odd = (label - least_value) % 2 == 1
-    sign = -1 if odd and ctx.groups[label] == GroupCode.A_DUMMY else 1
-    if partner[label] in (0, least_value):
-        cycles = [(least_value, label)]
-    elif odd:
-        cycles = [(label, least_value, partner[label], partner[least_value])]
-    else:
-        cycles = [(least_value, label), (partner[least_value], partner[label])]
-    return from_signed_cycles(n, sign, cycles)
+    images[label - 1], images[least_value - 1] = least_value, label
+    if partner[label] not in (0, least_value):
+        p, q = partner[label], partner[least_value]
+        if odd:
+            # label -> least_value -> p -> q -> label
+            images[least_value - 1], images[p - 1], images[q - 1] = p, q, label
+        else:
+            images[p - 1], images[q - 1] = q, p
+    if odd and ctx.groups[label] == GroupCode.A_DUMMY:
+        images[n], images[n + 1] = n + 2, n + 1
+    return SignedPermutation(images)
 
 
 def update_context(ctx, least_value):
     """Narrow the context after consuming ``least_value``.
 
-    Returns a new context in which the consumed label and its partner
-    are frozen at their own values, and each following label whose value
-    is at most the higher of the two is raised past them: by 2 in a
-    dummy class, by 1 in a component class.  A free or frozen label
-    changes nothing.
+    Returns a new context, with its own ``values`` and ``groups`` lists,
+    in which the consumed label and its partner are frozen at their own
+    values, and each following label whose value is at most the higher
+    of the two is raised past them: by 2 in a dummy class, by 1 in a
+    component class.  A free or frozen label changes nothing; ``ctx``
+    is left as it was.
     """
     n = ctx.n
     partner = ctx.partner[least_value]
-    values = list(ctx.values)
-    groups = list(ctx.groups)
+    values = ctx.values.copy()
+    groups = ctx.groups.copy()
     # a non-dummy's partner is 0, the unused index, so freezing it is a no-op
     for x in (least_value, partner):
         values[x] = x
@@ -195,8 +201,9 @@ def update_context(ctx, least_value):
 def first_appearance_renaming(ctx, labels):
     """The label element that renumbers unconsumed labels by first appearance.
 
-    ``labels`` lists, in slot order, the labels of the slots still to be
-    filled; every label of group other than NONE must occur in it.
+    ``labels`` is a ``bytes`` of the labels of the slots still to be
+    filled, in slot order; every label of group other than NONE must
+    occur in it.
     Within each class the unconsumed labels are a run that starts at
     their common value.  The element sends each class's unconsumed
     dummy pairs, in order of the first slot holding either leg, onto
@@ -206,7 +213,7 @@ def first_appearance_renaming(ctx, labels):
     every label of group NONE.  Returns None when that is the identity.
     """
     block, run = ctx.blocks
-    order = dict.fromkeys(map(block.__getitem__, labels))
+    order = dict.fromkeys(labels.translate(block))
     order.pop(0, None)
     # a stable sort by class value lists class after class, each in order
     # of appearance, against ``run``, which lists them in label order

@@ -10,7 +10,8 @@ Schreier trees are built breadth-first with generators tried in
 ascending index order, which makes coset representatives deterministic.
 Each tree builds a representative, its inverse and the points it moves
 the first time it is asked for and keeps them; the trees of a product
-keep none of their own, but shift the ones their block's tree keeps.
+shift the ones their block's tree keeps, and keep the shifted orbit and
+moved points themselves.
 Everything else is read off the chain: membership sifts through the
 trees (:func:`_sift`, shared with Schreier-Sims), and the symmetric
 subsets come from the orbits (:func:`detect_symmetric_subsets`).
@@ -51,7 +52,7 @@ class SchreierTree:
         self._reps = {}
         self._inverses = {}
         self._moves = {}
-        self.orbit = [root]
+        orbit = [root]
         frontier = [root]
         while frontier:
             nxt = []
@@ -60,9 +61,10 @@ class SchreierTree:
                     t = g[p]
                     if t not in edges:
                         edges[t] = (p, g)
-                        self.orbit.append(t)
+                        orbit.append(t)
                         nxt.append(t)
             frontier = nxt
+        self.orbit = tuple(orbit)
 
     def __contains__(self, point):
         return point in self._edges
@@ -127,8 +129,8 @@ class Bsgs:
         return list(self._level_gens[level])
 
     def orbit_of(self, level):
-        """Orbit of the base point ``level`` under the level stabilizer."""
-        return list(self._trees[level].orbit)
+        """Orbit of the base point ``level`` under the level stabilizer, a tuple in BFS order."""
+        return self._trees[level].orbit
 
     def tree(self, level):
         return self._trees[level]
@@ -241,23 +243,23 @@ class _ShiftedTree:
     """A block's Schreier tree read with its points moved up by ``offset``.
 
     Coset representatives, their inverses and their moved points are
-    the block's own, cached once on the block's tree and shifted on each
-    call: local points 1..k map to offset+1..offset+k and the local sign
-    pair k+1, k+2 to n+1, n+2.  :meth:`moves` costs one step per moved
-    point.
+    the block's own, cached once on the block's tree: local points 1..k
+    map to offset+1..offset+k and the local sign pair k+1, k+2 to n+1,
+    n+2.  Representatives and inverses are shifted on each call; the
+    orbit is shifted once, and each representative's moved points the
+    first time :meth:`moves` is asked for them, and both are kept, since
+    a product is shared by every monomial of its declarations.
     """
 
-    __slots__ = ("_tree", "_offset", "_n", "root")
+    __slots__ = ("_tree", "_offset", "_n", "root", "orbit", "_moves")
 
     def __init__(self, tree, offset, n):
         self._tree = tree
         self._offset = offset
         self._n = n
         self.root = tree.root + offset
-
-    @property
-    def orbit(self):
-        return [p + self._offset for p in self._tree.orbit]
+        self.orbit = tuple(p + offset for p in tree.orbit)
+        self._moves = {}
 
     def __contains__(self, point):
         return point - self._offset in self._tree
@@ -277,13 +279,16 @@ class _ShiftedTree:
         return _shift(self._tree.rep_inverse(self._local(target)), self._offset, self._n)
 
     def moves(self, target):
-        offset = self._offset
-        k = self._tree.degree - 2
-        up = self._n - k  # the local sign pair's shift
-        return tuple(
-            (x + offset, y + offset) if x <= k else (x + up, y + up)
-            for x, y in self._tree.moves(self._local(target))
-        )
+        m = self._moves.get(target)
+        if m is None:
+            offset = self._offset
+            k = self._tree.degree - 2
+            up = self._n - k  # the local sign pair's shift
+            m = self._moves[target] = tuple(
+                (x + offset, y + offset) if x <= k else (x + up, y + up)
+                for x, y in self._tree.moves(self._local(target))
+            )
+        return m
 
 
 def direct_product(chains):
@@ -296,9 +301,9 @@ def direct_product(chains):
     representatives, group order and membership equal those of
     ``schreier_sims`` run on all the shifted generators at once:
     generators of other blocks fix a block's points, so they add no edge
-    to its trees and no residue to its levels.  Trees are shifted on
-    demand.  The product keeps no strong generators: every caller reads
-    its trees.
+    to its trees and no residue to its levels.  Representatives are
+    shifted on demand.  The product keeps no strong generators: every
+    caller reads its trees.
     """
     n = sum(c.n for c in chains)
     deg = n + 2

@@ -100,6 +100,14 @@ def test_parse_errors():
         parse("T_{a b} T_{a c} T^{a d}" if False else "T_{a b}*T_{a c}*T^{a d}", reg)  # three times
     with pytest.raises(FrontendError):
         parse("", reg)
+    # a numeral has one spelling: with 01 read as a second class, the
+    # antisymmetric A_{1 01} would print as nonzero
+    reg.declare("tensor A rank=2 asym=1..2")
+    for expr in ("A_{1 01}", "T_{00 a}", "T_{a b\u00b2}"):
+        with pytest.raises(FrontendError, match="malformed index token"):
+            parse(expr, reg)
+    assert canon_text("tensor A rank=2 asym=1..2", "A_{10 0}") == "-A_{0 10}"
+    assert canon_text("tensor A rank=2 asym=1..2", "A_{1 1}") == "0"
 
 
 def test_label_order_frees_components_dummies():
@@ -365,8 +373,12 @@ def test_product_chain_matches_one_schreier_sims():
 def test_redeclared_tensor_gets_a_fresh_chain():
     reg = Registry()
     reg.declare("tensor T rank=2 sym=1..2")
-    mono = parse("T_{b a}", reg)
-    assert render(build_problem(mono, reg).canonicalize(), mono, reg) == "T_{a b}"
+    old_mono = parse("T_{b a}", reg)
+    old_prob = build_problem(old_mono, reg)
+    assert render(old_prob.canonicalize(), old_mono, reg) == "T_{a b}"
+    # one declaration sequence, one product
+    again = build_problem(parse("T^{y x}", reg), reg)
+    assert again.S is old_prob.S and again.subsets is old_prob.subsets
     old = reg.tensors["T"].chain()[0]
     assert old.tree(1).moves(2) == ((1, 2), (2, 1))
     reg.declare("tensor T rank=2 asym=1..2")
@@ -380,8 +392,37 @@ def test_redeclared_tensor_gets_a_fresh_chain():
         assert all(S.contains(u) and u[level] == t for t, u in tree._reps.items())
     assert S.tree(1)._reps[2].sign == -1
     mono = parse("T_{b a}", reg)
-    assert render(build_problem(mono, reg).canonicalize(), mono, reg) == "-T_{a b}"
+    prob = build_problem(mono, reg)
+    assert prob.S is not old_prob.S and prob.subsets is not old_prob.subsets
+    assert render(prob.canonicalize(), mono, reg) == "-T_{a b}"
     assert S.tree(1).moves(2) == ((1, 2), (2, 1), (3, 4), (4, 3))
+    # the monomial parsed before keeps its declaration, and its product
+    kept = build_problem(old_mono, reg)
+    assert kept.S is old_prob.S and kept.subsets is old_prob.subsets
+    assert render(kept.canonicalize(), old_mono, reg) == "T_{a b}"
+    assert len(reg.products) == 2
+
+
+def test_shared_registry_matches_a_fresh_one_per_monomial():
+    shared = {}  # declarations text -> one Registry for every case that uses it
+    cases = 0
+    for family in FAMILIES:
+        for size in range(2, 7):
+            for trial in range(3):
+                case = generate(family, size, trial)
+                reg = shared.get(case.declarations)
+                if reg is None:
+                    reg = shared[case.declarations] = Registry()
+                    reg.declare_all(case.declarations)
+                mono = parse(case.expression, reg)
+                fresh_trace, shared_trace = {}, {}
+                fresh = render(case.problem.canonicalize(trace=fresh_trace), case.monomial, case.registry)
+                out = render(build_problem(mono, reg).canonicalize(trace=shared_trace), mono, reg)
+                assert out == fresh, (family, size, trial)
+                assert shared_trace["configs_per_slot"] == fresh_trace["configs_per_slot"], (family, size, trial)
+                cases += 1
+    products = sum(len(reg.products) for reg in shared.values())
+    assert products < cases
 
 
 def test_coset_representatives_are_built_once_per_declaration(monkeypatch):

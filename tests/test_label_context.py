@@ -84,6 +84,27 @@ def test_update_no_metric():
     assert new.groups_list() == [F] * 6 + [L, U, L, U]
 
 
+def test_narrowing_twice_copies_values_and_groups():
+    # narrow the built context, then narrow the result twice: each context
+    # keeps its own values and groups, and siblings share no list
+    ctx = build([IndexClass("component", 2), IndexClass("dummy", 2, metric="symmetric")])
+    first = update_context(ctx, 1)
+    left, right = update_context(first, 2), update_context(first, 3)
+    assert ctx.values_list() == [1, 1, 3, 3, 3, 3]
+    assert ctx.groups_list() == [C, C, S, S, S, S]
+    assert first.values_list() == [1, 2, 3, 3, 3, 3]
+    assert first.groups_list() == [F, C, S, S, S, S]
+    assert left.values_list() == [1, 2, 3, 3, 3, 3]
+    assert left.groups_list() == [F, F, S, S, S, S]
+    assert right.values_list() == [1, 2, 3, 4, 5, 5]
+    assert right.groups_list() == [F, C, F, F, S, S]
+    contexts = (ctx, first, left, right)
+    assert len({id(c.values) for c in contexts}) == len({id(c.groups) for c in contexts}) == 4
+    left.values[2] = left.groups[2] = 0
+    assert right.values_list()[1] == first.values_list()[1] == 2
+    assert right.groups_list()[1] == first.groups_list()[1] == C
+
+
 def test_partner_of():
     ctx = build([IndexClass("free", 2), IndexClass("dummy", 2, metric="antisymmetric")])
     assert ctx.partner[3] == 4
