@@ -22,7 +22,9 @@ Families, parameterized by size k:
                        matching over all slots (random);
 * ``pairwise-frustrated`` / ``pairwise-random`` — the same wirings but
                        with the weaker pairwise symmetry
-                       +(1,3)(2,4), +(3,5)(4,6), ... on each factor.
+                       +(1,3)(2,4), +(3,5)(4,6), ... on each factor;
+* ``totalsym-many``  — k totally symmetric rank-4 factors, all 4k slots
+                       contracted by a random perfect matching.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ FAMILIES = [
     "totalsym-random",
     "pairwise-frustrated",
     "pairwise-random",
+    "totalsym-many",
 ]
 
 CSV_COLUMNS = ["family", "n", "trial", "seed", "engine", "is_zero", "result_digest", "elapsed_us", "max_configs"]
@@ -126,10 +129,13 @@ def generate(family, size, trial=0):
         rng.shuffle(pi1)
         rng.shuffle(pi2)
         expr = factor_text("T", [(d, "d") for d in pi1]) + " " + factor_text("U", [(d, "u") for d in pi2])
-    elif family == "riemann":
-        decls = 'tensor R rank=4 gens="-(1,2),+(1,3)(2,4),-(3,4)"'
+    elif family in ("riemann", "totalsym-many"):
+        if family == "riemann":
+            name, decls = "R", 'tensor R rank=4 gens="-(1,2),+(1,3)(2,4),-(3,4)"'
+        else:
+            name, decls = "T", "tensor T rank=4 sym=1..4"
         tokens = _matched_expression(rng, [4] * k)
-        parts = [factor_text("R", tokens[4 * i : 4 * i + 4]) for i in range(k)]
+        parts = [factor_text(name, tokens[4 * i : 4 * i + 4]) for i in range(k)]
         expr = " ".join(parts)
     elif family in ("totalsym-frustrated", "totalsym-random", "pairwise-frustrated", "pairwise-random"):
         if family.startswith("totalsym"):

@@ -11,8 +11,7 @@ permutation is applied to every slot at once by ``bytes.translate``
 with its :func:`_table`, and configurations sort by memcmp, which is
 the order of their image tuples.  A byte holds labels up to 255, so
 the engine takes at most ``MAX_SLOTS`` = 253 slots (the sign pair takes
-the two values above them).  Each pass renumbers every child's
-unconsumed labels by first appearance, then keeps one configuration per
+the two values above them).  Each pass keeps one configuration per
 signed g, the one with the least s (see :func:`canonicalize` for why
 that loses no result).  For each slot the engine finds every way of
 bringing the least reachable label into that slot, but prunes branches
@@ -34,7 +33,7 @@ import itertools
 from collections import Counter
 from operator import itemgetter
 
-from .label_context import GroupCode, first_appearance_renaming, update_context, label_permutation_from_group
+from .label_context import GroupCode, update_context, label_permutation_from_group
 from .signed_perm import SignedPermutation, from_signed_cycles, compose
 
 
@@ -211,7 +210,7 @@ def _table(perm):
     return bytes((0,) + perm.images) + _IDENTITY_TABLE[len(perm.images) + 1:]
 
 
-def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop, ordered, lpfgs):
+def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop, lpfgs):
     """Extend ``out`` with the slot-i descendants of configuration (g, s).
 
     Instances landing in an already-visited symmetric subset are skipped:
@@ -219,10 +218,16 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     up to a sign, in which case the zero check has already had its say).
     Two instances are only mutually redundant when the labels they
     supply are exchangeable as labels, and for dummy legs that requires
-    their partners to sit in matching subsets — swapping the pairs drags
-    the partners along, and the slot group can only absorb that motion
-    inside a single subset.  So the visited key records both the subset
-    being filled and the subset holding the supplied label's partner.
+    their partners to be exchangeable too — swapping the pairs drags
+    the partners along.  So the visited key records the subset being
+    filled and, for a dummy leg, where its partner sits: the partner
+    slot's even propagated family when it carries one, else the subset
+    holding that slot.  A dropped instance then fills the same subset
+    as a kept one with a label of the same class, and its child is the
+    kept child up to a label element, a slot permutation fixing slots
+    1..i and an exchange of the two partners: a slot symmetry when
+    they share a subset, a swap their even family licenses when they
+    share one of those (see :func:`canonicalize`).
 
     ``lpfgs`` maps a label to its ``label_permutation_from_group(ctx,
     label, least_value)`` and that permutation's :func:`_table`; one
@@ -230,16 +235,13 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     ``S.tree(i).moves(p)`` gives the points slot i's coset
     representative for p moves; the tree keeps them from their first use.
 
-    Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked,
-    ordered)``: g is translated through ltilde's table, then the result
-    and a copy of s are patched on the points stilde moves, and s is
-    shared when stilde is the identity.
-    ``checked`` is ``prop``, which this configuration has passed the
-    zero check against, or None for a child that took its label through
-    an exchange (p != q): such a child must be checked again.  The child
-    is ``ordered`` (its unconsumed labels already in first-appearance
-    order) when this configuration is and the child fills slot i in
-    place (p == q == i); see :func:`canonicalize` for why.
+    Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked)``:
+    g is translated through ltilde's table, then the result and a copy
+    of s are patched on the points stilde moves, and s is shared when
+    stilde is the identity.  ``checked`` is ``prop``, which this
+    configuration has passed the zero check against, or None for a
+    child that took its label through an exchange (p != q): such a
+    child must be checked again.
     """
     visited = set()
     entries = subsets.entries
@@ -249,7 +251,9 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
         label = g[q - 1]
         if entries[p] != 0:
             if ctx.groups[label] in _DUMMY_CODES:
-                far = abs(entries[g.index(partner[label]) + 1])
+                r = g.index(partner[label])
+                family = prop[s[r]]
+                far = ("fam", family) if family != 0 and family % 2 == 0 else abs(entries[r + 1])
             else:
                 far = -1
             key = (abs(entries[p]), far)
@@ -278,22 +282,8 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
             child, child_s = bytes(child), bytes(child_s)
         else:
             child, child_s = relabelled, s
-        out.append((
-            child,
-            child_s,
-            prop if p == q else None,
-            ordered and p == q == i,
-        ))
+        out.append((child, child_s, prop if p == q else None))
     return out
-
-
-def _renamed(ctx, config, i):
-    """``config`` with its unconsumed labels renumbered by first appearance, marked ordered."""
-    g, s, checked, _ = config
-    lam = first_appearance_renaming(ctx, g[i:-2])
-    if lam is not None:
-        g = g.translate(_table(lam))
-    return g, s, checked, True
 
 
 def canonicalize(g_init, S, ctx, subsets, trace=None):
@@ -318,16 +308,53 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     ``S.tree(i).moves(p)``.  A child is its parent's g translated
     through the label element's table, then patched, with a copy of s,
     on those points; it shares its parent's s when the representative
-    is the identity.  The renaming λ below is one more translation.
-    ``prop`` is replaced, never mutated, and an update that adds no entry
-    returns it as it was.
+    is the identity.  ``prop`` is replaced, never mutated, and an update
+    that adds no entry returns it as it was.
+
+    A dummy instance is dropped when an instance already kept from the
+    same configuration fills the same subset Y and the partners of the
+    two supplied labels, a1 and a2 at slots r1 and r2, carry one even
+    entry e (see :func:`append_non_redundant_instances`).  The reason:
+
+    * Up to an exchange of partners, the children are one point.  Let
+      the kept instance fill p1 and the dropped one p2, both in Y, and
+      read g with an exchange instance's swap folded in.  The
+      transposition τ = (p1 p2) lies in Sym(Y) ⊆ S, with Y's sign, and
+      the label element μ exchanging the pairs of a1 and a2 leg for leg
+      carries no sign.  μ∘g∘τ is ±g with the labels at r1 and r2
+      exchanged, and τ∘stilde2 sends i to p1.  So the dropped child is
+      the kept child with its labels at stilde1⁻¹(r1) and stilde1⁻¹(r2)
+      exchanged, up to a label element fixing the consumed labels and
+      the pair just consumed, and a slot permutation fixing slots 1..i.
+    * That exchange is licensed.  Entry e marks initial slots holding
+      the partners of labels that share one odd family, and so one
+      symmetric subset s0(Y0) of ``g_init``.  Exchanging two such
+      partners is the transposition of their legs in s0(Y0), which lies
+      in S, composed with the label element exchanging the two pairs:
+      a true fact about ``g_init``, with the family's sign.  Later
+      passes read it as they read any even family, letting either slot
+      supply the cheaper label (q != p in
+      :func:`get_least_value_instances`).
+
+    The last point does not prove that the kept child's search reaches
+    every least value the dropped child's would, since the exchange
+    moves the partner of the label just consumed.  That step is
+    checked, not proven.  13978 instances were dropped under this key
+    (4808 of them kept when the key was the partner's subset) on the
+    bench families at sizes 2–14, five of them up to 24, Riemann
+    contractions up to k = 20, products of three to six rank-11 totally
+    symmetric factors, 637 random products of (anti)symmetric factors
+    and 600 random mixed monomials.  The search was continued from each
+    dropped child and, apart, from its kept twin, each alone against a
+    copy of the pass's final ``prop``.  The two gave the same least
+    value at every later pass and the same result.
 
     After each pass with more than one child, the sorted configurations
     keep one per signed arrangement g, the one with the least s.  +g and
     -g stay apart, so the scan that finds them side by side still proves
     zeros.  A pass with one child keeps it as it is: there is nothing to
-    rename, merge or compare it with.  Dropping
-    (g, s2) for (g, s1) is sound for these reasons:
+    merge or compare it with.  Dropping (g, s2) for (g, s1) is sound for
+    these reasons:
 
     * Nothing false is added.  An odd family marks initial slots inside
       s(Y) whose labels share a class, where Y is a symmetric subset
@@ -356,67 +383,25 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
 
     The last point does not prove that the kept view reaches every
     child the dropped view would reach, in this pass or later.  That
-    step is checked, not proven.  In 17419 dropped configurations (the
-    bench families, Riemann contractions up to k = 20 and 600 random
-    mixed monomials), each dropped configuration was processed right
-    after its kept twin, against the same ``prop``.  Each gave the
-    twin's least value and children, recorded no new entry and passed
-    the zero check.  The oracle and double-coset tests pin the outputs.
-
-    Before that merge, when a pass has more than one child, each child
-    g becomes λ∘g with its s unchanged.  λ is
-    :func:`~tensorcanon.label_context.first_appearance_renaming` of the
-    narrowed context: it renumbers each class's unconsumed dummy pairs,
-    lower leg onto lower leg, and repeated component labels, in order of
-    first appearance in slots i+1..n, and fixes every consumed label.
-    So configurations that differ by such a renaming merge, as
-    Butler–Portugal's label stabilizer of the filled prefix makes them
-    one.  This is sound:
-
-    * s is unchanged, so the view ``prop[s[p]]`` is unchanged.
-    * λ keeps each label's class, value, ``GroupCode`` and
-      ``ctx.partner``, which is all the helpers read of a label.  So the
-      search from λ∘g is the λ-image of the search from g; each later
-      pass fills its slot with the same least value, and both end at
-      the same fully consumed arrangement.
-    * λ carries no sign and depends only on g's unsigned images, so +g
-      and -g get the same λ and stay a pair; and a ±h pair after
-      renaming, h = λ1∘g1 = -λ2∘g2, puts g1 and -g2 in one double
-      coset, a true zero.
+    step is checked, not proven.  Each of the 179 configurations merged
+    away on the inputs listed above was processed right after its kept
+    twin, against the same ``prop``.  Each gave the twin's least value
+    and children, recorded no new entry and passed the zero check.  The
+    oracle and double-coset tests pin the outputs.
 
     Each child also carries the ``prop`` array its parent passed the
     zero check against, and its own check is skipped while ``prop`` is
     still that object, except for children that took their label
     through an exchange (p != q).  That is sound because such a child
-    is μ∘g∘stilde with μ = λ∘ltilde a label element, seen through
+    is ltilde∘g∘stilde with ltilde a label element, seen through
     s∘stilde: its family and label at slot p are the parent's at
-    stilde(p), renamed by μ, which keeps class, group code and pairs.
-    stilde ∈ S maps each detected subset onto a detected subset of the
-    same sign, and narrowing the context only turns labels into NONE.
-    So no rule can fire on the child unless it fired on the parent,
-    which passed.  An exchange child is not of that form: its swap of
-    two labels comes from a propagated slot symmetry, not from the label
-    group, so it is checked again.
-
-    A child marked ``ordered`` is not renamed, because its λ would be
-    the identity.  Every renamed child is ordered, and a child of an
-    ordered parent stays ordered when it fills slot i in place: p == q
-    == i, so stilde is the identity.  Its supplied label is then
-    ``least_value`` or that label's partner, so its ltilde at most swaps
-    the two legs of the pair being consumed.  The reasons:
-
-    * Each class's unconsumed labels are a run starting at the class
-      value.  In the ordered parent the block at slot i (its label's
-      dummy pair or component label) is the first block met in slots
-      i..n, so it is the first block of its class's run.  It holds the
-      least value, so it is the block of ``least_value``.  A label of
-      group NONE holds its own value, so then the label is
-      ``least_value`` itself.
-    * The child's unconsumed blocks in slots i+1..n therefore appear in
-      the parent's order minus the consumed block.  ``update_context``
-      removes that same block from the run.  It raises the rest of the
-      block's class uniformly, so the classes keep their order.  So the
-      child's first-appearance order is again the run.
+    stilde(p), moved by ltilde, which keeps class, group code and
+    pairs.  stilde ∈ S maps each detected subset onto a detected subset
+    of the same sign, and narrowing the context only turns labels into
+    NONE.  So no rule can fire on the child unless it fired on the
+    parent, which passed.  An exchange child is not of that form: its
+    swap of two labels comes from a propagated slot symmetry, not from
+    the label group, so it is checked again.
     """
     n = ctx.n
 
@@ -430,14 +415,14 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
         return finish(CanonResult.zero(), [])
     prop = [0] * (n + 1)
     next_odd = itertools.count(1, 2).__next__
-    configs = [(bytes(g_init.images), bytes(range(1, n + 3)), None, False)]
+    configs = [(bytes(g_init.images), bytes(range(1, n + 3)), None)]
     counts = []
     for i in range(1, n + 1):
         orbit = S.orbit_of(i)
         least_value, instances = get_least_value_instances(i, orbit, configs, ctx, prop)
         out = []
         lpfgs = {}
-        for (g, s, checked, ordered), inst in zip(configs, instances):
+        for (g, s, checked), inst in zip(configs, instances):
             if not inst:
                 continue
             prev = prop
@@ -448,23 +433,21 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
                 )
             if prop is not checked and zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                 return finish(CanonResult.zero(), counts)
-            append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop, ordered, lpfgs)
+            append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop, lpfgs)
         ctx = update_context(ctx, least_value)
         if len(out) == 1:
             configs = out
             counts.append(1)
             continue
-        out = [c if c[3] else _renamed(ctx, c, i) for c in out]
         out.sort(key=itemgetter(0, 1))
         configs = []
         for c in out:
             if configs and configs[-1][0] == c[0]:
                 continue
             configs.append(c)
+        counts.append(len(configs))
         for a, b in zip(configs, configs[1:]):
             # kept arrangements are distinct, so equal slots mean opposite signs
             if a[0][:n] == b[0][:n]:
-                counts.append(len(configs))
                 return finish(CanonResult.zero(), counts)
-        counts.append(len(configs))
     return finish(CanonResult.canonical(SignedPermutation(configs[0][0])), counts)

@@ -28,15 +28,13 @@ context is narrowed with :func:`update_context`, one rule for every
 kind: the consumed label and its partner are frozen, and the class's
 remaining labels move up past them.  :func:`label_permutation_from_group`
 reads the pair table to build the label element that moves a label to
-its least value, and :func:`first_appearance_renaming` the element that
-renumbers the unconsumed labels in the order they are met.
+its least value.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 from .signed_perm import SignedPermutation, identity
 
@@ -77,21 +75,6 @@ class LabelContext:
     @property
     def n(self):
         return len(self.values) - 1
-
-    @cached_property
-    def blocks(self):
-        """``(block, run)`` for the unconsumed labels, built on first use.
-
-        ``block`` is a 256-byte ``bytes.translate`` table: ``block[x]`` is
-        the lower leg of x's dummy pair, or x itself for a component
-        label, and 0 for a label of group NONE and for every byte above
-        n.  ``run`` lists the distinct nonzero blocks in increasing order.
-        """
-        block = bytearray(256)
-        for x, group in enumerate(self.groups):
-            if group != GroupCode.NONE:
-                block[x] = min(x, self.partner[x]) if self.partner[x] else x
-        return bytes(block), sorted(set(block) - {0})
 
     def values_list(self):
         return list(self.values[1:])
@@ -197,33 +180,3 @@ def update_context(ctx, least_value):
         j += 1
     return LabelContext(values, groups, ctx.partner)
 
-
-def first_appearance_renaming(ctx, labels):
-    """The label element that renumbers unconsumed labels by first appearance.
-
-    ``labels`` is a ``bytes`` of the labels of the slots still to be
-    filled, in slot order; every label of group other than NONE must
-    occur in it.
-    Within each class the unconsumed labels are a run that starts at
-    their common value.  The element sends each class's unconsumed
-    dummy pairs, in order of the first slot holding either leg, onto
-    that run's pairs, lower leg onto lower leg, and each class's
-    unconsumed component labels, in order of appearance, onto that
-    class's run.  It swaps no legs, so it carries no sign, and it fixes
-    every label of group NONE.  Returns None when that is the identity.
-    """
-    block, run = ctx.blocks
-    order = dict.fromkeys(labels.translate(block))
-    order.pop(0, None)
-    # a stable sort by class value lists class after class, each in order
-    # of appearance, against ``run``, which lists them in label order
-    order = sorted(order, key=ctx.values.__getitem__)
-    if order == run:
-        return None
-    partner = ctx.partner
-    images = list(range(1, ctx.n + 3))
-    for b, t in zip(order, run):
-        images[b - 1] = t
-        if partner[b]:
-            images[b] = t + 1  # upper leg onto upper leg
-    return SignedPermutation(images)

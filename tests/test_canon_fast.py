@@ -13,7 +13,7 @@ from tensorcanon.canon_fast import (
     update_propagated_symmetries,
     zero_due_to_propagated_symmetries,
 )
-from tensorcanon.frontend import Registry, parse, build_problem, render
+from tensorcanon.frontend import Registry, build_problem, factor_text, parse, render
 from tensorcanon.signed_perm import SignedPermutation, compose, identity, parse_array
 
 
@@ -151,59 +151,34 @@ def test_zero_rule_pair_sign_under_metric():
 
 
 # configuration counts after each slot pass, and their maximum, with one
-# configuration kept per signed arrangement g once each pass's unconsumed
-# labels are renumbered by first appearance: a change to the search's
-# speed must leave which configurations it visits alone
+# configuration kept per signed arrangement g and dummy instances keyed by
+# their partner's even propagated family: a change to the search's speed
+# must leave which configurations it visits alone
 SEARCH_GOLDENS = {
-    ("riemann", 6, 0): ([4, 4, 8, 8, 4, 4, 2, 2, 1, 1, 1, 1, 3, 3, 4, 4, 4, 4, 2, 2, 2, 1, 1, 1], 8),
-    ("riemann", 6, 1): ([4, 4, 8, 8, 2, 2, 4, 4, 4, 4, 8, 8, 4, 2, 2] + [1] * 9, 8),
+    ("riemann", 6, 0): ([2] * 8 + [1, 1, 1, 1] + [2] * 6 + [1] * 6, 2),
+    ("riemann", 6, 1): ([2, 2, 2, 2] + [1] * 20, 2),
     ("riemann", 6, 2): ([], 1),
-    ("riemann", 8, 0): (
-        [4, 4, 8, 8, 32, 32, 64, 64, 16, 16, 32, 32, 32, 16, 32, 32, 32, 16, 8, 8, 4, 2] + [1] * 10,
-        64,
-    ),
-    ("riemann", 8, 1): (
-        [4, 4, 8, 8, 32, 32, 64, 64, 16, 16, 4, 4, 4, 4, 8, 8, 4, 4] + [2] * 5 + [1] * 9,
-        64,
-    ),
-    ("riemann", 8, 2): (
-        [3, 3, 4, 4, 16, 16, 32, 32, 8, 8] + [16] * 6 + [8, 8, 8, 4, 2, 2, 2, 2] + [1] * 8,
-        32,
-    ),
-    ("riemann", 10, 0): ([4, 4, 8, 8, 2, 2, 4, 4, 2, 2, 4, 4, 4, 4, 8, 8, 4] + [2] * 5 + [1] * 18, 8),
-    ("riemann", 10, 1): (
-        [4, 4, 8, 8, 32, 32, 16, 16, 4, 4, 8, 8, 4, 4, 8, 8, 8, 8, 4, 4, 2, 2, 4, 4, 4] + [2] * 8 + [1] * 7,
-        32,
-    ),
-    ("riemann", 10, 2): ([4, 4, 8, 8, 2, 2, 4, 4, 2, 2, 4, 4, 4, 4, 8, 8, 4, 4], 8),
-    # riemann 14/1 and 16/1 are where merging by g cuts the widest pass
-    # most (from 4096 and 1536); 14/1 ends in a zero
+    ("riemann", 8, 0): ([2, 2, 2, 2, 4, 4, 4, 4] + [2] * 13 + [1] * 11, 4),
+    ("riemann", 8, 1): ([2, 2, 2, 2, 4, 4, 4, 4, 2, 2] + [1] * 22, 4),
+    ("riemann", 8, 2): ([2, 2, 2, 2, 4, 4, 4, 4] + [2] * 8 + [1] * 16, 4),
+    ("riemann", 10, 0): ([2, 2, 2, 2] + [1] * 36, 2),
+    ("riemann", 10, 1): ([2, 2, 2, 2, 6, 6, 4, 4] + [2] * 12 + [1] * 8 + [2] * 5 + [1] * 7, 6),
+    ("riemann", 10, 2): ([2, 2, 2, 2] + [1] * 14, 2),
+    # 14/1 ends in a zero
     ("riemann", 14, 1): (
-        [4, 4, 8, 8, 32, 32, 64, 64, 256, 256, 512, 512, 128, 128, 256, 256, 1024, 1024, 2048, 2048]
-        + [512, 512, 256, 256, 256, 64, 32, 32, 16, 16, 16, 16, 8, 2, 1, 1, 1, 1],
-        2048,
+        [2, 2, 2, 2, 4, 4, 4, 4, 8, 8, 8, 8, 4, 4, 4, 4, 8, 8, 8, 8] + [4] * 5 + [2] * 8 + [1] * 5,
+        8,
     ),
     ("riemann", 16, 1): (
-        [4, 4, 8, 8, 32, 32, 64, 64, 256, 256, 128, 128, 32, 32, 64, 64, 32, 32, 64, 64, 64, 64]
-        + [128, 128, 64, 16, 8, 8, 32, 32, 16, 16, 16, 16, 8, 8, 8, 8] + [16] * 8
-        + [8, 8, 8, 8, 4] + [2] * 5 + [1, 1],
-        256,
+        [2, 2, 2, 2, 4, 4, 4, 4, 12, 12, 8, 8] + [4] * 13 + [2, 2, 2, 6, 6, 4, 4, 4, 4] + [2] * 16 + [1] * 8,
+        12,
     ),
-    # riemann 18/2 and 20/1 are where renumbering the unconsumed pairs
-    # cuts the widest pass most (from 36448 and 864)
     ("riemann", 18, 2): (
-        [4, 4, 8, 8, 2, 2, 4, 4, 16, 16, 32, 32, 128, 128, 256, 256, 256, 128, 256, 256, 64, 64]
-        + [32, 32, 16, 16, 32, 32, 128, 128, 256, 256, 1024, 1024, 2048, 2048, 512, 512]
-        + [1024, 1024, 1024, 1024, 512, 512, 512, 512, 128, 64, 64, 32, 32, 8, 8, 8, 4, 4, 4, 2]
-        + [1] * 14,
-        2048,
+        [2, 2, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2] + [4] * 8 + [2] * 8 + [4, 4, 4, 4, 8, 8, 8, 8]
+        + [4] * 10 + [2] * 5 + [1] * 21,
+        8,
     ),
-    ("riemann", 20, 1): (
-        [4, 4, 8, 8, 2, 2, 4, 4, 2, 2, 4, 4, 16, 16, 32, 32, 32, 32, 64, 64, 256, 256, 128, 128]
-        + [128, 64, 64, 64, 32, 32, 64, 64, 64, 64, 128, 128, 32, 32, 64, 64, 32, 32, 64, 64]
-        + [32] * 5 + [16, 8, 8, 4, 4] + [2] * 8 + [4, 4, 4, 2, 2, 2, 2] + [1] * 11,
-        256,
-    ),
+    ("riemann", 20, 1): ([2, 2, 2, 2] + [1] * 8 + [2] * 8 + [6, 6, 4, 4, 4] + [2] * 11 + [1] * 44, 6),
     ("pairwise-frustrated", 6, 0): ([3, 3, 6, 6, 6, 6, 2, 2, 1, 1, 1, 1], 6),
 }
 
@@ -227,6 +202,27 @@ def test_worked_contraction_single_branch():
     assert trace["max_configs"] == 1
     assert trace["configs_per_slot"] == [1] * 12
     assert render(result, mono, reg) == "T_{a b c d e f} S^{a b c d e f}"
+
+
+@pytest.mark.parametrize("factors, seed", [(4, 0), (4, 2), (5, 0), (5, 2), (6, 0), (6, 1)])
+def test_products_of_totally_symmetric_factors_stay_narrow(factors, seed):
+    # the partners met in one factor's slots share one even propagated
+    # family, so the search branches once for them, not once per factor
+    # holding one, which is factorial in the number of factors
+    rng = random.Random(seed)
+    n = 11 * factors
+    names = [f"a{k}" for k in range(n // 2)]
+    tokens = [(name, "d") for name in names] + [(name, "u") for name in names] + [("z", "d")] * (n % 2)
+    rng.shuffle(tokens)
+    expr = " ".join(factor_text("T", tokens[k : k + 11]) for k in range(0, n, 11))
+    _, _, prob = make_problem("tensor T rank=11 sym=1..11", expr)
+    trace = {}
+    try:
+        with budget(10):
+            prob.canonicalize(trace=trace)
+    except TimeoutError:
+        pass  # a search still running after 10 s leaves no max_configs
+    assert trace.get("max_configs", float("inf")) <= 2
 
 
 def test_ricci_scalar_not_zero():
@@ -326,10 +322,10 @@ def test_plus_minus_collision_zero():
 
 
 def test_deadline_aborts():
-    # eighteen contracted Riemann factors: 2048 configurations at the
-    # widest pass and about half a second of search, so a 20-ms budget
-    # stops it mid-run
-    prob = generate("riemann", 18, 2).problem
+    # two pairwise-symmetric rank-14 factors in frustrated wiring: 5040
+    # configurations at the widest pass and over 100 ms of search, so a
+    # 20-ms budget stops it mid-run
+    prob = generate("pairwise-frustrated", 14, 0).problem
     trace = {}
     with pytest.raises(TimeoutError) as info:
         with budget(0.02):
