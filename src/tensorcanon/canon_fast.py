@@ -34,7 +34,7 @@ from collections import Counter
 from operator import itemgetter
 
 from .label_context import GroupCode, update_context, label_permutation_from_group
-from .signed_perm import SignedPermutation, from_signed_cycles, compose
+from .signed_perm import SignedPermutation, compose  # noqa: F401 (perfbench/tracing.py counts canon_fast.compose calls)
 
 
 class CanonResult:
@@ -113,26 +113,28 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
 
     Labels sitting in the same symmetric subset and still exchangeable
     get matching odd entries (one shared odd number per subset); each
-    dummy leg hands its partner the adjacent even entry.  Entries
-    occurring exactly once carry no exchange information and are removed
-    before returning; ``prop`` itself is expected to hold none, as every
-    array this function returns does.
+    dummy leg hands its partner the adjacent even entry.  An entry
+    written exactly once carries no exchange information and is not
+    kept.
 
-    When no instance can add an entry (each supplied label is consumed,
-    outside a subset, or already propagated) the result is ``prop``
-    itself, so callers must not mutate it.
+    Only the written entries are counted.  ``prop`` holds no singleton,
+    as no array this function returns does, and none of its entries is
+    overwritten: an entry is written only on a zero, or over an entry
+    of this call, since fresh entries exceed every older one in absolute
+    value.  When no written entry is kept (each supplied label is
+    consumed, outside a subset or already propagated, or it would be
+    alone in its family) the result is ``prop`` itself, so callers must
+    not mutate it.
     """
     groups = ctx.groups
-    new = None
+    wrote = {}  # initial slot -> entry written there
     memo = {}
     for p, q in instances:
         label = g[q - 1]
         sq = s[q - 1]
         if groups[label] == _NONE or subsets[q] == 0 or prop[sq] != 0:
             continue
-        if new is None:
-            new = list(prop)
-        cur = new[sq]
+        cur = wrote.get(sq, 0)
         if subsets[q] in memo:
             entry = memo[subsets[q]]
         elif cur != 0:
@@ -144,18 +146,23 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
             memo[subsets[q]] = entry
         if cur != 0 and abs(cur) <= abs(entry):
             continue
-        new[sq] = entry
+        wrote[sq] = entry
         if groups[label] in _DUMMY_CODES:
             pentry = _sign(entry) * (abs(entry) + 1)
             tgt = s[g.index(ctx.partner[label])]  # s at the partner's slot
-            if new[tgt] == 0 or abs(pentry) < abs(new[tgt]):
-                new[tgt] = pentry
-    return prop if new is None else _remove_singletons(new)
-
-
-def _remove_singletons(prop):
-    counts = Counter(prop)
-    return [v if counts[v] > 1 else 0 for v in prop]
+            old = wrote.get(tgt, prop[tgt])
+            if old == 0 or abs(pentry) < abs(old):
+                wrote[tgt] = pentry
+    if not wrote:
+        return prop
+    counts = Counter(wrote.values())
+    kept = [(x, entry) for x, entry in wrote.items() if counts[entry] > 1]
+    if not kept:
+        return prop
+    new = list(prop)
+    for x, entry in kept:
+        new[x] = entry
+    return new
 
 
 def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
@@ -210,7 +217,7 @@ def _table(perm):
     return bytes((0,) + perm.images) + _IDENTITY_TABLE[len(perm.images) + 1:]
 
 
-def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop, lpfgs):
+def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop):
     """Extend ``out`` with the slot-i descendants of configuration (g, s).
 
     Instances landing in an already-visited symmetric subset are skipped:
@@ -229,23 +236,30 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     they share a subset, a swap their even family licenses when they
     share one of those (see :func:`canonicalize`).
 
-    ``lpfgs`` maps a label to its ``label_permutation_from_group(ctx,
-    label, least_value)`` and that permutation's :func:`_table`; one
-    dict, shared by a whole slot pass, builds each of them once.
-    ``S.tree(i).moves(p)`` gives the points slot i's coset
-    representative for p moves; the tree keeps them from their first use.
+    ltilde moves the supplied label to ``least_value``.  Its table is
+    read from ``ctx.tables``, the layout's dict, and built there from
+    ``label_permutation_from_group(ctx, label, least_value)`` on first
+    use; a label that already is ``least_value`` needs none.  An
+    exchange child (p != q) folds in the swap of the two labels, signed
+    by their family: two entries of the table, and the sign pair when
+    the family is negative.  ``S.tree(i).moves(p)`` gives the points
+    slot i's coset representative for p moves; the tree keeps them from
+    their first use.
 
     Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked)``:
     g is translated through ltilde's table, then the result and a copy
     of s are patched on the points stilde moves, and s is shared when
-    stilde is the identity.  ``checked`` is ``prop``, which this
-    configuration has passed the zero check against, or None for a
-    child that took its label through an exchange (p != q): such a
-    child must be checked again.
+    stilde is the identity.  A child whose label is already in place
+    (p == q, label == ``least_value``) starts from g itself.
+    ``checked`` is ``prop``, which this configuration has passed the
+    zero check against, or None for a child that took its label through
+    an exchange (p != q): such a child must be checked again.
     """
     visited = set()
     entries = subsets.entries
     partner = ctx.partner
+    tables = ctx.tables
+    n = ctx.n
     moves = S.tree(i).moves
     for p, q in instances:
         label = g[q - 1]
@@ -260,20 +274,23 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
             if key in visited:
                 continue
             visited.add(key)
-        lpfg = lpfgs.get(label)
-        if lpfg is None:
-            perm = label_permutation_from_group(ctx, label, least_value)
-            lpfg = lpfgs[label] = (perm, _table(perm))
+        if label == least_value:
+            table = _IDENTITY_TABLE
+        else:
+            table = tables.get((label, least_value))
+            if table is None:
+                table = tables[label, least_value] = _table(label_permutation_from_group(ctx, label, least_value))
         if p != q:
             # q supplies the label through an exchange with slot p; fold
             # the (possibly signed) label swap in before relabelling
-            eps = _sign(prop[s[q - 1]])
-            swap = from_signed_cycles(ctx.n, eps, [(label, g[p - 1])])
-            table = _table(compose(lpfg[0], swap))
-        else:
-            table = lpfg[1]
+            other = g[p - 1]
+            swapped = bytearray(table)
+            swapped[label], swapped[other] = table[other], table[label]
+            if prop[s[q - 1]] < 0:
+                swapped[n + 1], swapped[n + 2] = table[n + 2], table[n + 1]
+            table = swapped
         slots = moves(p)
-        relabelled = g.translate(table)
+        relabelled = g if table is _IDENTITY_TABLE else g.translate(table)
         if slots:
             child, child_s = bytearray(relabelled), bytearray(s)
             for x, y in slots:
@@ -298,18 +315,22 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     are since no array is mutated, with the slot action s, as
     ``bytes``, and the supplied label values).
 
-    Work that repeats across configurations is done once: each slot
-    pass builds ``label_permutation_from_group`` once per supplied label
-    (the context and the least value are fixed within a pass), with its
-    translation table.  Coset representatives and the points they move
-    are built once per declaration and kept on its chain's trees (see
+    Work that repeats across configurations, passes and monomials is
+    done once.  ``ctx`` is shared by every monomial of its class layout
+    (``frontend.Registry.contexts``): narrowing it after a pass returns
+    the context built the first time, and the translation table of each
+    ``label_permutation_from_group(ctx, label, least_value)`` is built
+    once per layout and kept in ``ctx.tables`` (see
+    :class:`~tensorcanon.label_context.LabelContext`).  Coset
+    representatives and the points they move are built once per
+    declaration and kept on its chain's trees (see
     :class:`~tensorcanon.perm_group.SchreierTree`), and shifted into place
     once per product of declarations; a pass reads them as
     ``S.tree(i).moves(p)``.  A child is its parent's g translated
     through the label element's table, then patched, with a copy of s,
     on those points; it shares its parent's s when the representative
     is the identity.  ``prop`` is replaced, never mutated, and an update
-    that adds no entry returns it as it was.
+    that keeps no entry returns it as it was.
 
     A dummy instance is dropped when an instance already kept from the
     same configuration fills the same subset Y and the partners of the
@@ -421,7 +442,6 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
         orbit = S.orbit_of(i)
         least_value, instances = get_least_value_instances(i, orbit, configs, ctx, prop)
         out = []
-        lpfgs = {}
         for (g, s, checked), inst in zip(configs, instances):
             if not inst:
                 continue
@@ -433,7 +453,7 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
                 )
             if prop is not checked and zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                 return finish(CanonResult.zero(), counts)
-            append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop, lpfgs)
+            append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop)
         ctx = update_context(ctx, least_value)
         if len(out) == 1:
             configs = out

@@ -11,9 +11,12 @@ Declarations
 ``gens`` lists signed slot cycles (1-based, local to the tensor);
 ``sym=a..b`` / ``asym=a..b`` are sugar for the adjacent (anti)symmetric
 transpositions on that slot range.  ``gens``, ``sym`` and ``asym`` may be
-repeated; ``rank`` and ``metric`` may not.  A bundle is
-matched by name prefix on index tokens (longest declared prefix wins);
-undeclared tokens fall into an implicit symmetric-metric bundle.
+repeated; ``rank`` and ``metric`` may not.  A tensor NAME is an ASCII
+letter followed by letters and digits, and a bundle NAME is letters and
+digits; any other name is refused at declaration, since no expression
+could use it.  A bundle is matched by name prefix on index tokens
+(longest declared prefix wins); undeclared tokens fall into an implicit
+symmetric-metric bundle.
 Declaring a name again replaces its declaration; a bundle keeps its
 place in label order.
 
@@ -147,6 +150,8 @@ class Registry:
         self.bundles = {}  # name -> Bundle; declaration order matters for label order
         # tuple of TensorDecl, one per factor -> (slot Bsgs, SymmetricSubsets)
         self.products = {}
+        # tuple of IndexClass, a monomial's class layout -> its initial LabelContext
+        self.contexts = {}
 
     def declare(self, line):
         """Parse one declaration line (``tensor ...`` or ``bundle ...``)."""
@@ -170,6 +175,9 @@ class Registry:
         if not toks:
             raise FrontendError(f"tensor declaration needs a name: {line!r}")
         name = toks[0]
+        # a factor starts with its tensor's name (see _FACTOR_RE): no other name can be used
+        if not (name.isascii() and name.isalnum() and name[0].isalpha()):
+            raise FrontendError(f"tensor {name!r}: a tensor name is a letter followed by letters and digits")
         rank = None
         gens = []
         sym_ranges = []
@@ -210,6 +218,9 @@ class Registry:
         if not toks:
             raise FrontendError(f"bundle declaration needs a name: {line!r}")
         name = toks[0]
+        # a bundle owns the index tokens its name prefixes, and a token is ASCII letters and digits
+        if not (name.isascii() and name.isalnum()):
+            raise FrontendError(f"bundle {name!r}: a bundle name is letters and digits, as index tokens are")
         metric = None
         for tok in toks[1:]:
             key, _, val = tok.partition("=")
@@ -401,7 +412,11 @@ def build_problem(monomial, registry):
     monomial with a new key assembles them from each factor's cached
     chain (:meth:`TensorDecl.chain`), shifted to the factor's slots;
     every later one shares that product.  The registry's current
-    declarations are not consulted.
+    declarations are not consulted.  The initial label context comes
+    from ``registry.contexts``, keyed by the monomial's class layout,
+    which fixes it: every monomial of one layout shares one context, and
+    with it the narrowed contexts and label tables that the fast engine
+    keeps there (see :mod:`~tensorcanon.label_context`).
     """
     n = len(monomial.labels)
     g_init = SignedPermutation(monomial.labels + (n + 1, n + 2))
@@ -411,7 +426,10 @@ def build_problem(monomial, registry):
         chains, local_subsets = zip(*(decl.chain() for decl in decls))
         product = registry.products[decls] = (direct_product(chains), product_subsets(local_subsets))
     S, subsets = product
-    ctx = build_context(monomial.classes)
+    layout = tuple(monomial.classes)
+    ctx = registry.contexts.get(layout)
+    if ctx is None:
+        ctx = registry.contexts[layout] = build_context(monomial.classes)
     return CanonProblem(n, g_init, S, ctx, subsets, monomial.classes)
 
 

@@ -29,6 +29,14 @@ kind: the consumed label and its partner are frozen, and the class's
 remaining labels move up past them.  :func:`label_permutation_from_group`
 reads the pair table to build the label element that moves a label to
 its least value.
+
+A context depends on the class layout alone, so one built context
+serves every monomial of a layout (``frontend.Registry.contexts``), and
+no context is mutated once built.  Each one keeps the contexts
+:func:`update_context` narrowed it to, and every context narrowed from
+one built context shares its ``tables`` dict, which the fast engine
+fills with the translation tables of the label elements it uses (see
+:class:`LabelContext`).
 """
 
 from __future__ import annotations
@@ -65,16 +73,25 @@ class IndexClass:
 
 
 class LabelContext:
-    """Values, Label-Groups and partner arrays, 1-based (index 0 unused), kept as given."""
+    """Values, Label-Groups and partner arrays, 1-based (index 0 unused), kept as given.
 
-    def __init__(self, values, groups, partner):
+    ``children`` maps a least value to the context :func:`update_context`
+    narrowed this one to.  ``tables`` is one dict for the whole layout:
+    it maps ``(label, least_value)`` to the ``bytes.translate`` table of
+    ``label_permutation_from_group(ctx, label, least_value)``, which is
+    the same for every context of the layout in which ``label`` still
+    has ``least_value``.  A label other than its least value is still
+    unconsumed, so it keeps the group code the layout gave it, and the
+    pair table never changes.
+    """
+
+    def __init__(self, values, groups, partner, tables=None):
         self.values = values
         self.groups = groups
         self.partner = partner
-
-    @property
-    def n(self):
-        return len(self.values) - 1
+        self.n = len(values) - 1
+        self.children = {}
+        self.tables = {} if tables is None else tables
 
     def values_list(self):
         return list(self.values[1:])
@@ -157,13 +174,20 @@ def label_permutation_from_group(ctx, label, least_value):
 def update_context(ctx, least_value):
     """Narrow the context after consuming ``least_value``.
 
-    Returns a new context, with its own ``values`` and ``groups`` lists,
-    in which the consumed label and its partner are frozen at their own
-    values, and each following label whose value is at most the higher
-    of the two is raised past them: by 2 in a dummy class, by 1 in a
-    component class.  A free or frozen label changes nothing; ``ctx``
-    is left as it was.
+    Returns the context in which the consumed label and its partner are
+    frozen at their own values, and each following label whose value is
+    at most the higher of the two is raised past them: by 2 in a dummy
+    class, by 1 in a component class.  A free or frozen label changes
+    nothing, so ``ctx`` itself is returned.  Otherwise the narrowed
+    context, with its own ``values`` and ``groups`` lists, is built on
+    the first call and kept in ``ctx.children``; ``ctx`` is left as it
+    was.
     """
+    if ctx.groups[least_value] == GroupCode.NONE:
+        return ctx
+    child = ctx.children.get(least_value)
+    if child is not None:
+        return child
     n = ctx.n
     partner = ctx.partner[least_value]
     values = ctx.values.copy()
@@ -178,5 +202,5 @@ def update_context(ctx, least_value):
     while j <= n and values[j] <= top:
         values[j] += increment
         j += 1
-    return LabelContext(values, groups, ctx.partner)
-
+    child = ctx.children[least_value] = LabelContext(values, groups, ctx.partner, ctx.tables)
+    return child

@@ -114,6 +114,20 @@ def test_update_without_new_entries_returns_prop_unchanged():
     assert next_odd() == 3  # no family was started
 
 
+def test_update_whose_entries_are_all_singletons_returns_prop():
+    # T_{x a}^{a}, T symmetric on slots 1..2: the lower leg of a is the
+    # only label of its subset, so its odd entry and the even entry it
+    # hands its partner are each written once, and neither is kept
+    _, _, prob = make_problem("tensor T rank=3 sym=1..2", "T_{x a}^{a}")
+    n = prob.n
+    g, s = prob.g_init.images, identity(n).images
+    next_odd = odd_counter()
+    prop = [0] * (n + 1)
+    assert update_propagated_symmetries([(2, 2)], g, s, prob.ctx, prob.subsets, prop, next_odd) is prop
+    assert prop == [0] * (n + 1)
+    assert next_odd() == 3  # the entry was drawn, then dropped
+
+
 def _zero_check(prob, entries):
     # prop indexed by initial slot; with s the identity that is the slot
     n = prob.n

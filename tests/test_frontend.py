@@ -63,12 +63,18 @@ def test_declaration_errors():
     'tensor T rank=2 gens="+(1,3)"',
     "tensor T rank=0",
     "tensor T rank=-1",
-], ids=["rank-not-a-number", "gens-point-beyond-rank", "rank-zero", "rank-negative"])
+    # names no expression can use: a factor starts with a letter and
+    # holds letters and digits, and an index token holds letters and digits
+    "tensor 2A rank=2",
+    "tensor A-b rank=1",
+    "bundle x_ metric=none",
+], ids=["rank-not-a-number", "gens-point-beyond-rank", "rank-zero", "rank-negative",
+        "tensor-name-leading-digit", "tensor-name-dash", "bundle-name-underscore"])
 def test_bad_declaration_rejected_when_declared(line):
     reg = Registry()
     with pytest.raises(FrontendError):
         reg.declare(line)
-    assert "T" not in reg.tensors
+    assert not reg.tensors and not reg.bundles
 
 
 def test_parse_factors_and_variance():
@@ -401,6 +407,33 @@ def test_redeclared_tensor_gets_a_fresh_chain():
     assert kept.S is old_prob.S and kept.subsets is old_prob.subsets
     assert render(kept.canonicalize(), old_mono, reg) == "T_{a b}"
     assert len(reg.products) == 2
+
+
+def test_monomials_of_one_class_layout_share_one_label_context():
+    decls = "bundle m metric=symmetric\ntensor T rank=4\ntensor U rank=2 sym=1..2"
+    reg = Registry()
+    reg.declare_all(decls)
+    old_mono = parse("T_{x 1 m1}^{m1}", reg)
+    first = build_problem(old_mono, reg)
+    # other tensors, names and slots, but the same classes in the same order
+    mono = parse("U_{y m3} U^{m3 1}", reg)
+    second = build_problem(mono, reg)
+    assert second.classes == first.classes
+    assert second.ctx is first.ctx
+    # the second monomial's search meets the contexts and tables the first one's left
+    first.canonicalize()
+    fresh = Registry()
+    fresh.declare_all(decls)
+    fresh_mono = parse("U_{y m3} U^{m3 1}", fresh)
+    want = render(build_problem(fresh_mono, fresh).canonicalize(), fresh_mono, fresh)
+    assert render(second.canonicalize(), mono, reg) == want
+    # the bundle redeclared with another metric makes another layout
+    reg.declare("bundle m metric=antisymmetric")
+    third = build_problem(parse("T_{x 1 m1}^{m1}", reg), reg)
+    assert third.ctx is not first.ctx
+    assert len(reg.contexts) == 2
+    # the monomial parsed before keeps its layout, and its context
+    assert build_problem(old_mono, reg).ctx is first.ctx
 
 
 def test_shared_registry_matches_a_fresh_one_per_monomial():

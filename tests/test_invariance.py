@@ -11,6 +11,10 @@ the benchmark families never use.
   without its sign, canonicalizes to itself.
 * The fast engine's shortcut, checked where it is taken: a zero check it
   skips would have passed.
+* The fast engine's propagation updates and narrowed label contexts,
+  against plain references written here.
+* One Registry shared by the mixed monomials gives the outputs of a
+  fresh Registry per monomial.
 * The baseline's filtered label generators: at every pass they reach
   the same orbits as the label-group elements fixing the consumed labels.
 
@@ -19,6 +23,7 @@ Every test is seeded, so a failure reproduces.
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,6 +31,7 @@ from tensorcanon import canon_fast
 from tensorcanon.bench import FAMILIES, generate
 from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
 from tensorcanon.frontend import Registry, build_problem, factor_text, parse, render
+from tensorcanon.label_context import GroupCode, label_permutation_from_group
 from tensorcanon.oracle import brute_force_canonicalize, enumerate_group, enumerate_label_group
 from tensorcanon.perm_group import SchreierTree
 from tensorcanon.signed_perm import SignedPermutation, compose, identity
@@ -131,13 +137,16 @@ def make_problem(decls, expr):
     return build_problem(parse(expr, reg), reg)
 
 
+def random_moves(prob, rng, count):
+    """``count`` random (label element, slot element) pairs for ``prob``."""
+    return [(random_label_element(prob.classes, prob.n, rng), random_slot_element(prob.S, rng)) for _ in range(count)]
+
+
 def assert_coset_invariant(prob, rng, moves, baseline, context):
     fast = prob.canonicalize()
     if baseline:
         assert butler_portugal(prob.g_init, prob.S, prob.label_bsgs()) == fast, context
-    for _ in range(moves):
-        l = random_label_element(prob.classes, prob.n, rng)
-        s = random_slot_element(prob.S, rng)
+    for l, s in random_moves(prob, rng, moves):
         moved = compose(l, compose(prob.g_init, s))
         assert dataclasses.replace(prob, g_init=moved).canonicalize() == fast, (context, moved)
         if baseline:
@@ -177,6 +186,34 @@ def test_double_coset_invariance_on_mixed_bundles():
         kinds.update((c.kind, c.metric) for c in prob.classes)
         assert_coset_invariant(prob, rng, 3, prob.n <= 12, context)
     assert {("component", None), ("dummy", "none"), ("dummy", "antisymmetric")} <= kinds
+
+
+def test_shared_registry_matches_a_fresh_one_per_mixed_monomial():
+    # the mixed monomials in shuffled order, each declared and parsed in
+    # one Registry, whose label contexts every monomial of a class layout
+    # shares, against a fresh Registry per monomial
+    problems = []
+    for rng, prob, (trial, decls, expr) in mixed_bundle_problems():
+        random_moves(prob, rng, 3)  # the moves the invariance test draws, to keep its sequence
+        problems.append((trial, decls, expr))
+    random.Random(11).shuffle(problems)
+    shared = Registry()
+    hits = 0
+    for trial, decls, expr in problems:
+        fresh = Registry()
+        fresh.declare_all(decls)
+        fresh_mono = parse(expr, fresh)
+        fresh_trace, shared_trace = {}, {}
+        want = render(build_problem(fresh_mono, fresh).canonicalize(trace=fresh_trace), fresh_mono, fresh)
+        shared.declare_all(decls)
+        mono = parse(expr, shared)
+        hits += tuple(mono.classes) in shared.contexts
+        got = render(build_problem(mono, shared).canonicalize(trace=shared_trace), mono, shared)
+        assert got == want, (trial, decls, expr)
+        assert shared_trace["configs_per_slot"] == fresh_trace["configs_per_slot"], (trial, decls, expr)
+    kinds = {(c.kind, c.metric) for layout in shared.contexts for c in layout}
+    assert {("component", None), ("dummy", "none"), ("dummy", "antisymmetric")} <= kinds
+    assert hits + len(shared.contexts) == len(problems) and hits > 200, hits
 
 
 def test_oracle_fuzz_components_and_metricless_bundles():
@@ -319,6 +356,103 @@ def test_skipped_zero_checks_find_no_zero(skipped_zero_checks):
         assert_coset_invariant(prob, rng, 3, False, context)
         settle()
     assert counts["skipped"] > counts["run"] > 0, counts
+
+
+def reference_update(instances, g, s, ctx, subsets, prop, next_odd):
+    """The propagation update written plainly: write into a copy of
+    ``prop``, then clear every entry that occurs once in the whole array."""
+    dummies = (GroupCode.S_DUMMY, GroupCode.A_DUMMY, GroupCode.L_DUMMY, GroupCode.U_DUMMY)
+    groups = ctx.groups
+    new = list(prop)
+    memo = {}
+    for p, q in instances:
+        label, sq, sub = g[q - 1], s[q - 1], subsets[q]
+        if groups[label] == GroupCode.NONE or sub == 0 or prop[sq] != 0:
+            continue
+        cur = new[sq]
+        if sub in memo:
+            entry = memo[sub]
+        elif cur != 0:
+            continue
+        else:
+            entry = memo[sub] = (1 if sub > 0 else -1) * next_odd()
+        if cur != 0 and abs(cur) <= abs(entry):
+            continue
+        new[sq] = entry
+        if groups[label] in dummies:
+            pentry = (1 if entry > 0 else -1) * (abs(entry) + 1)
+            tgt = s[g.index(ctx.partner[label])]
+            if new[tgt] == 0 or abs(pentry) < abs(new[tgt]):
+                new[tgt] = pentry
+    counts = Counter(new)
+    return [v if counts[v] > 1 else 0 for v in new]
+
+
+def reference_narrow(ctx, least_value):
+    """(values, groups) after consuming ``least_value``, built afresh every call."""
+    values, groups = list(ctx.values), list(ctx.groups)
+    partner = ctx.partner[least_value]
+    for x in (least_value, partner):
+        values[x], groups[x] = x, GroupCode.NONE
+    top = max(least_value, partner)
+    j = top + 1
+    while j <= ctx.n and values[j] <= top:
+        values[j] += 2 if partner else 1
+        j += 1
+    return values, groups
+
+
+def test_updates_match_their_references(monkeypatch):
+    """Each propagation update equals :func:`reference_update`, and is its
+    ``prop`` argument exactly when it adds nothing; each narrowed label
+    context, kept or returned as it was, equals :func:`reference_narrow`;
+    and each label table kept for a layout is the one its built context
+    gives."""
+    update = canon_fast.update_propagated_symmetries
+    narrow = canon_fast.update_context
+    counts = {"updates": 0, "unchanged": 0, "contexts": 0, "frozen": 0, "tables": 0}
+
+    def checked_update(instances, g, s, ctx, subsets, prop, next_odd):
+        drawn = []
+
+        def recorded_odd():
+            drawn.append(next_odd())
+            return drawn[-1]
+
+        before = list(prop)
+        new = update(instances, g, s, ctx, subsets, prop, recorded_odd)
+        assert new == reference_update(instances, g, s, ctx, subsets, before, iter(drawn).__next__)
+        assert prop == before
+        assert (new is prop) == (new == before)
+        counts["updates"] += 1
+        counts["unchanged"] += new is prop
+        return new
+
+    def checked_narrow(ctx, least_value):
+        new = narrow(ctx, least_value)
+        assert (new.values, new.groups) == reference_narrow(ctx, least_value)
+        assert new.partner is ctx.partner and new.tables is ctx.tables
+        counts["contexts"] += 1
+        counts["frozen"] += new is ctx
+        return new
+
+    def check_tables(ctx):
+        # each kept table is the built context's: a table depends on the layout alone
+        for (label, least), table in ctx.tables.items():
+            assert table == canon_fast._table(label_permutation_from_group(ctx, label, least)), (label, least)
+            counts["tables"] += 1
+
+    monkeypatch.setattr(canon_fast, "update_propagated_symmetries", checked_update)
+    monkeypatch.setattr(canon_fast, "update_context", checked_narrow)
+    for prob in small_bench_problems():
+        prob.canonicalize()
+        check_tables(prob.ctx)
+    for rng, prob, context in mixed_bundle_problems():
+        assert_coset_invariant(prob, rng, 3, False, context)
+        check_tables(prob.ctx)
+    assert counts["updates"] > counts["unchanged"] > 0, counts
+    assert counts["tables"] > 0, counts
+    assert counts["contexts"] > counts["frozen"] > 0, counts
 
 
 def test_baseline_label_generators_reach_the_whole_stabilizer(monkeypatch):

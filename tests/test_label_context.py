@@ -105,6 +105,26 @@ def test_narrowing_twice_copies_values_and_groups():
     assert right.groups_list()[1] == first.groups_list()[1] == C
 
 
+def test_update_of_a_frozen_least_value_returns_the_context():
+    ctx = build([IndexClass("free", 2), IndexClass("component", 2), IndexClass("dummy", 2, metric="symmetric")])
+    assert update_context(ctx, 1) is ctx  # a free label
+    narrowed = update_context(ctx, 5)
+    # a consumed label and its partner are frozen
+    assert update_context(narrowed, 5) is narrowed
+    assert update_context(narrowed, 6) is narrowed
+    assert narrowed.values_list() == [1, 2, 3, 3, 5, 6, 7, 7]
+
+
+def test_narrowed_contexts_are_kept_and_share_the_layout_tables():
+    ctx = build([IndexClass("component", 2), IndexClass("dummy", 2, metric="none")])
+    first = update_context(ctx, 1)
+    assert update_context(ctx, 1) is first
+    assert ctx.children == {1: first}
+    assert update_context(first, 3) is update_context(first, 3)
+    assert first.tables is ctx.tables is update_context(first, 3).tables
+    assert build([IndexClass("component", 2)]).tables is not ctx.tables
+
+
 def test_partner_of():
     ctx = build([IndexClass("free", 2), IndexClass("dummy", 2, metric="antisymmetric")])
     assert ctx.partner[3] == 4
