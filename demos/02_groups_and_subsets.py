@@ -28,11 +28,11 @@ print("contains -(1,2)(1,3)(2,4) product:", bsgs.contains(both))
 print("contains bare +(1,2):", bsgs.contains(from_signed_cycles(4, 1, [(1, 2)])))
 
 # the subsets array summarizes which slots are mutually (anti)symmetric
-print("symmetric subsets of R:", detect_symmetric_subsets(bsgs).as_list())
+print("symmetric subsets of R:", detect_symmetric_subsets(bsgs)[1:])
 
 # a partially symmetric tensor next to a Riemann factor: the product
 # group is assembled from each factor's own chain and subsets
 T = schreier_sims(6, [from_signed_cycles(6, 1, [(i, i + 1)]) for i in (3, 4, 5)])
 print("order of T(sym 3..6) x R:", direct_product([T, bsgs]).group_order)
 subsets = product_subsets([detect_symmetric_subsets(T), detect_symmetric_subsets(bsgs)])
-print("subsets of T(sym 3..6) x R:", subsets.as_list())
+print("subsets of T(sym 3..6) x R:", subsets[1:])

@@ -40,7 +40,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .canon_baseline import butler_portugal
+from .canon_baseline import LabelBsgs, butler_portugal
 from .frontend import Registry, parse, build_problem, render, factor_text
 
 FAMILIES = [
@@ -203,7 +203,7 @@ def run_case(case, engine, time_budget=None):
     trace = {}
     if engine not in ("fast", "baseline"):
         raise ValueError(f"unknown engine {engine!r}")
-    L = problem.label_bsgs() if engine == "baseline" else None
+    L = LabelBsgs.from_classes(problem.classes) if engine == "baseline" else None
     with budget(time_budget):
         t0 = time.perf_counter()
         if L is None:

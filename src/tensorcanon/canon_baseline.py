@@ -15,9 +15,8 @@ stabilizer of those labels in L.
 
 from __future__ import annotations
 
-from .canon_fast import CanonResult
 from .perm_group import SchreierTree
-from .signed_perm import from_signed_cycles, compose
+from .signed_perm import CanonResult, from_signed_cycles, compose
 
 
 class LabelBsgs:
@@ -81,8 +80,9 @@ class LabelBsgs:
 def butler_portugal(g_init, S, L, trace=None):
     """Canonicalize ``g_init`` with slot group ``S`` and label group ``L``.
 
-    Returns a :class:`~tensorcanon.canon_fast.CanonResult`.  ``trace``,
-    if given, receives ``configs_per_slot`` and ``max_configs``.
+    Returns a :class:`~tensorcanon.signed_perm.CanonResult`, zero at
+    once when ``S.has_minus_one``.  ``trace``, if given, receives
+    ``configs_per_slot`` and ``max_configs``.
     """
     n = L.n
 
@@ -92,7 +92,7 @@ def butler_portugal(g_init, S, L, trace=None):
             trace["max_configs"] = max(counts, default=1)
         return result
 
-    if len(S.orbit_of(n + 1)) > 1:  # -1 is a slot symmetry: everything vanishes
+    if S.has_minus_one:
         return finish(CanonResult.zero(), [])
     pinned = []  # the label each pass consumed
     configs = [g_init]

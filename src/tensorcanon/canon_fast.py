@@ -34,37 +34,7 @@ from collections import Counter
 from operator import itemgetter
 
 from .label_context import GroupCode, update_context, label_permutation_from_group
-from .signed_perm import SignedPermutation, compose  # noqa: F401 (perfbench/tracing.py counts canon_fast.compose calls)
-
-
-class CanonResult:
-    """Either the canonical configuration or Zero."""
-
-    __slots__ = ("g",)
-
-    def __init__(self, g):
-        self.g = g
-
-    @classmethod
-    def zero(cls):
-        return cls(None)
-
-    @classmethod
-    def canonical(cls, g):
-        return cls(g)
-
-    @property
-    def is_zero(self):
-        return self.g is None
-
-    def __eq__(self, other):
-        return isinstance(other, CanonResult) and self.g == other.g
-
-    def __hash__(self):
-        return hash(self.g)
-
-    def __repr__(self):
-        return "CanonResult(zero)" if self.is_zero else f"CanonResult({self.g})"
+from .signed_perm import CanonResult, SignedPermutation, compose  # noqa: F401 (perfbench/tracing.py counts canon_fast.compose calls)
 
 
 def _sign(x):
@@ -132,18 +102,18 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
     for p, q in instances:
         label = g[q - 1]
         sq = s[q - 1]
-        if groups[label] == _NONE or subsets[q] == 0 or prop[sq] != 0:
+        sub = subsets[q]
+        if groups[label] == _NONE or sub == 0 or prop[sq] != 0:
             continue
         cur = wrote.get(sq, 0)
-        if subsets[q] in memo:
-            entry = memo[subsets[q]]
+        if sub in memo:
+            entry = memo[sub]
         elif cur != 0:
             # an even entry propagated here from an earlier (smaller)
             # family takes precedence over starting a fresh one
             continue
         else:
-            entry = _sign(subsets[q]) * next_odd()
-            memo[subsets[q]] = entry
+            entry = memo[sub] = _sign(sub) * next_odd()
         if cur != 0 and abs(cur) <= abs(entry):
             continue
         wrote[sq] = entry
@@ -181,7 +151,6 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
     slot order would find it.
     """
     groups = ctx.groups
-    entries = subsets.entries
     # the propagated family of each slot, slot p at index p-1
     syms = [prop[x] for x in s[:-2]]
     for p, (sym, label) in enumerate(zip(syms, g), 1):
@@ -194,11 +163,11 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
             if sym < 0:
                 return True
             continue
-        sub = entries[p]
+        sub = subsets[p]
         if sym % 2 == 0 and sub != 0 and (sym > 0) != (sub > 0):
             # does the subset host another slot of this even family?
             a = abs(sub)
-            if sum(1 for y, e in zip(syms, entries[1:]) if y == sym and abs(e) == a) >= 2:
+            if sum(1 for y, e in zip(syms, subsets[1:]) if y == sym and abs(e) == a) >= 2:
                 return True
         if not (group == _S_DUMMY and sym < 0 or group == _A_DUMMY and sym > 0):
             continue
@@ -256,21 +225,20 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     an exchange (p != q): such a child must be checked again.
     """
     visited = set()
-    entries = subsets.entries
     partner = ctx.partner
     tables = ctx.tables
     n = ctx.n
     moves = S.tree(i).moves
     for p, q in instances:
         label = g[q - 1]
-        if entries[p] != 0:
+        if subsets[p] != 0:
             if ctx.groups[label] in _DUMMY_CODES:
                 r = g.index(partner[label])
                 family = prop[s[r]]
-                far = ("fam", family) if family != 0 and family % 2 == 0 else abs(entries[r + 1])
+                far = ("fam", family) if family != 0 and family % 2 == 0 else abs(subsets[r + 1])
             else:
                 far = -1
-            key = (abs(entries[p]), far)
+            key = (abs(subsets[p]), far)
             if key in visited:
                 continue
             visited.add(key)
@@ -308,12 +276,12 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
 
     ``S`` is the slot symmetry :class:`~tensorcanon.perm_group.Bsgs`,
     ``ctx`` the initial :class:`~tensorcanon.label_context.LabelContext`
-    and ``subsets`` the detected symmetric subsets.  ``trace``, if
-    given, is a dict that receives ``configs_per_slot`` (configuration
-    counts after each slot pass), ``max_configs`` and ``prop_updates``
-    (the propagation arrays before and after each update, kept as they
-    are since no array is mutated, with the slot action s, as
-    ``bytes``, and the supplied label values).
+    and ``subsets`` the slot array of
+    :func:`~tensorcanon.perm_group.detect_symmetric_subsets`, which the
+    helpers index directly.  When ``S.has_minus_one`` the result is zero
+    at once, and ``subsets`` is not read.  ``trace``, if given, is a dict
+    that receives ``configs_per_slot`` (configuration counts after each
+    slot pass) and ``max_configs``.
 
     Work that repeats across configurations, passes and monomials is
     done once.  ``ctx`` is shared by every monomial of its class layout
@@ -432,7 +400,7 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
             trace["max_configs"] = max(counts, default=1)
         return result
 
-    if subsets.inconsistent:
+    if S.has_minus_one:
         return finish(CanonResult.zero(), [])
     prop = [0] * (n + 1)
     next_odd = itertools.count(1, 2).__next__
@@ -445,12 +413,7 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
         for (g, s, checked), inst in zip(configs, instances):
             if not inst:
                 continue
-            prev = prop
             prop = update_propagated_symmetries(inst, g, s, ctx, subsets, prop, next_odd)
-            if trace is not None:
-                trace.setdefault("prop_updates", []).append(
-                    (prev, prop, s, [ctx.values[g[q - 1]] for _, q in inst])
-                )
             if prop is not checked and zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                 return finish(CanonResult.zero(), counts)
             append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop)

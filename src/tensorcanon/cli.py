@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from .bench import FAMILIES, MAX_BUDGET_S, generate, run_bench, run_case, oracle_result
-from .canon_baseline import butler_portugal
+from .canon_baseline import LabelBsgs, butler_portugal
 from .frontend import FrontendError, Registry, parse, build_problem, render
 
 
@@ -44,7 +44,7 @@ def _cmd_canon(args):
         if args.engine in ("fast", "both"):
             outputs["fast"] = render(problem.canonicalize(), monomial, registry)
         if args.engine in ("baseline", "both"):
-            result = butler_portugal(problem.g_init, problem.S, problem.label_bsgs())
+            result = butler_portugal(problem.g_init, problem.S, LabelBsgs.from_classes(problem.classes))
             outputs["baseline"] = render(result, monomial, registry)
         if args.engine == "both" and outputs["fast"] != outputs["baseline"]:
             print(f"ENGINE MISMATCH on {expr!r}: fast={outputs['fast']} baseline={outputs['baseline']}", file=sys.stderr)

@@ -65,10 +65,16 @@ the variance written at that slot.  A symmetric-metric pair whose legs
 land on two slots of equal variance prints lower then upper: the metric
 raises one leg, so every pair prints one lower and one upper leg.
 
-Known defect: a free index of a metric bundle takes the variance of the
-slot it lands on, not its own.  For symmetric ``S``, ``S_{b}^{a}`` prints
-``S_{a}^{b}`` while the equal ``S^{a}_{b}`` prints itself.  The fix is to
-give free labels ``own``; it changes the totalsym-shared digest in
+Known defects: only the labels given ``own`` above print with a fixed
+variance; every other one takes the variance of the slot it lands on.
+For symmetric ``S`` and a rank-3 ``T`` without symmetry:
+
+* a free index of a metric bundle: ``S_{b}^{a}`` prints ``S_{a}^{b}``;
+* a component index: ``S^{2}_{1}`` prints ``S^{1}_{2}``;
+* a symmetric-metric pair: ``T_{a b c} T^{a b c}`` and the equal
+  ``T^{a b}_{c} T_{a b}^{c}`` each print themselves.
+
+The fix gives every label ``own``; it changes both digests in
 ``perfbench/digests.json``.
 
 Slot group
@@ -93,11 +99,10 @@ from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import itemgetter
 
-from .canon_fast import MAX_SLOTS, canonicalize, CanonResult
-from .canon_baseline import LabelBsgs
+from .canon_fast import MAX_SLOTS, canonicalize
 from .label_context import IndexClass, build as build_context
 from .perm_group import direct_product, product_subsets, schreier_sims, detect_symmetric_subsets
-from .signed_perm import SignedPermutation, from_signed_cycles, parse_cycles
+from .signed_perm import CanonResult, SignedPermutation, from_signed_cycles, parse_cycles
 
 
 class FrontendError(ValueError):
@@ -121,7 +126,7 @@ class TensorDecl:
                 )
 
     def chain(self):
-        """(slot Bsgs, SymmetricSubsets) over the local slots 1..rank.
+        """(slot Bsgs, symmetric-subset slot array) over the local slots 1..rank.
 
         Computed on first use, not at declaration, and kept for every
         later monomial; redeclaring the name makes a new, empty decl.
@@ -148,7 +153,7 @@ class Registry:
     def __init__(self):
         self.tensors = {}
         self.bundles = {}  # name -> Bundle; declaration order matters for label order
-        # tuple of TensorDecl, one per factor -> (slot Bsgs, SymmetricSubsets)
+        # tuple of TensorDecl, one per factor -> (slot Bsgs, symmetric-subset slot array)
         self.products = {}
         # tuple of IndexClass, a monomial's class layout -> its initial LabelContext
         self.contexts = {}
@@ -393,11 +398,8 @@ class CanonProblem:
     g_init: SignedPermutation
     S: object  # slot Bsgs
     ctx: object  # LabelContext
-    subsets: object  # SymmetricSubsets
+    subsets: list  # 1-based slot array of perm_group.detect_symmetric_subsets
     classes: list  # IndexClass list in <-order
-
-    def label_bsgs(self):
-        return LabelBsgs.from_classes(self.classes)
 
     def canonicalize(self, trace=None):
         return canonicalize(self.g_init, self.S, self.ctx, self.subsets, trace=trace)

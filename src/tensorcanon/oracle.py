@@ -13,8 +13,7 @@ import itertools
 
 import numpy as np
 
-from .canon_fast import CanonResult
-from .signed_perm import SignedPermutation, identity, compose
+from .signed_perm import CanonResult, SignedPermutation, identity, compose
 
 
 class GroupEnumeration:

@@ -13,8 +13,9 @@ the first time it is asked for and keeps them; the trees of a product
 shift the ones their block's tree keeps, and keep the shifted orbit and
 moved points themselves.
 Everything else is read off the chain: membership sifts through the
-trees (:func:`_sift`, shared with Schreier-Sims), and the symmetric
-subsets come from the orbits (:func:`detect_symmetric_subsets`).
+trees (:func:`_sift`, shared with Schreier-Sims), whether -identity is
+a member (:attr:`Bsgs.has_minus_one`) from the sign level, and the
+symmetric subsets from the orbits (:func:`detect_symmetric_subsets`).
 
 A group acting on consecutive slot blocks that share only the sign (the
 slot group of a tensor monomial, one block per factor) is assembled by
@@ -108,13 +109,20 @@ class SchreierTree:
 
 
 class Bsgs:
-    """Base and strong generating set with the complete base <1..n+2>."""
+    """Base and strong generating set with the complete base <1..n+2>.
+
+    ``has_minus_one`` says whether -identity is in the group, i.e. the
+    sign level n+1 has the two-point orbit {n+1, n+2}.  Every monomial
+    with such a slot group equals minus itself and vanishes; this is the
+    one place that decides it.
+    """
 
     def __init__(self, n, level_gens, trees):
         self.n = n
         self.degree = n + 2
         self._level_gens = level_gens  # 1-based: level_gens[i]
         self._trees = trees  # 1-based: trees[i], rooted at point i
+        self.has_minus_one = len(trees[n + 1]) == 2
 
     @property
     def base(self):
@@ -126,6 +134,8 @@ class Bsgs:
         Only :func:`schreier_sims` chains keep them; a
         :func:`direct_product` chain keeps trees alone.
         """
+        if self._level_gens is None:
+            raise ValueError("a product chain keeps trees, not strong generators")
         return list(self._level_gens[level])
 
     def orbit_of(self, level):
@@ -297,9 +307,9 @@ def direct_product(chains):
     ``chains`` holds one :class:`Bsgs` per block, over its local slots
     1..k, in slot order.  Level offset+j of the result is block f's level
     j tree moved up by the ``offset`` slots before the block.  The sign
-    level moves iff some block contains -identity.  Orbits, coset
-    representatives, group order and membership equal those of
-    ``schreier_sims`` run on all the shifted generators at once:
+    level moves, and the product has -identity, iff some block has it.
+    Orbits, coset representatives, group order and membership equal
+    those of ``schreier_sims`` run on all the shifted generators at once:
     generators of other blocks fix a block's points, so they add no edge
     to its trees and no residue to its levels.  Representatives are
     shifted on demand.  The product keeps no strong generators: every
@@ -307,7 +317,7 @@ def direct_product(chains):
     """
     n = sum(c.n for c in chains)
     deg = n + 2
-    minus = (identity(n).negated(),) if any(len(c.tree(c.n + 1)) == 2 for c in chains) else ()
+    minus = (identity(n).negated(),) if any(c.has_minus_one for c in chains) else ()
     trees = [None]
     for c in chains:
         offset = len(trees) - 1
@@ -316,55 +326,30 @@ def direct_product(chains):
     return Bsgs(n, None, trees)
 
 
-class SymmetricSubsets:
-    """Result of symmetric-subset detection.
-
-    ``entries`` is a 1-based array over slots (index 0 unused): 0 marks a
-    slot in no symmetric subset, a nonzero value numbers the subset, with
-    positive values for symmetric (pair transpositions with sign +) and
-    negative for antisymmetric subsets.  ``inconsistent`` is set when the
-    group contains -identity, which forces every monomial to vanish.
-    """
-
-    def __init__(self, entries, inconsistent=False):
-        self.entries = list(entries)
-        self.inconsistent = inconsistent
-
-    def __getitem__(self, slot):
-        return self.entries[slot]
-
-    def as_list(self):
-        """Slot entries without the unused 0 index."""
-        return list(self.entries[1:])
-
-    def __repr__(self):
-        if self.inconsistent:
-            return "SymmetricSubsets(inconsistent)"
-        return f"SymmetricSubsets({self.as_list()})"
-
-
 def detect_symmetric_subsets(bsgs):
-    """Find maximal (anti)symmetric slot subsets of the group, off its chain.
+    """Maximal (anti)symmetric slot subsets of the group, off its chain.
+
+    Returns a 1-based array over slots (index 0 unused): 0 marks a slot
+    in no subset, and ±k a slot of subset k, + when its transpositions
+    carry sign + (symmetric) and - when they carry sign - (antisymmetric).
+    Subsets are numbered left to right.  When the group has -identity
+    (:attr:`Bsgs.has_minus_one`) every monomial vanishes before a subset
+    is read, and the entries are unspecified.
 
     Slots i and j share a subset iff +(i,j) or -(i,j) is in the group.
     The relation is transitive, as (i,k) = (i,j)(j,k)(i,j), so a subset
     is its least slot i together with each j > i for which ±(i,j) is a
     member, and a slot already placed needs no test of its own.  Such a
     j lies in the orbit of i at level i, since (i,j) fixes 1..i-1, so
-    only those orbit points are sifted.  Unless
-    -identity is in the group, every transposition of one subset carries
-    one sign: the signs are a homomorphism of the subset's symmetric
-    group to ±1, trivial or the parity, so once a subset has a sign only
-    that sign is tested.  Subsets are numbered left to right with
-    increasing absolute values; signs record symmetric (+) vs
-    antisymmetric (-).  If -identity is in the group (the sign level
-    moves) the result is flagged inconsistent (every configuration
-    equals minus itself).
+    only those orbit points are sifted.  Without -identity every
+    transposition of one subset carries one sign: the signs are a
+    homomorphism of the subset's symmetric group to ±1, trivial or the
+    parity, so once a subset has a sign only that sign is tested.
     """
     n = bsgs.n
     entries = [0] * (n + 1)
-    if len(bsgs.tree(n + 1)) == 2:
-        return SymmetricSubsets(entries, inconsistent=True)
+    if bsgs.has_minus_one:
+        return entries
     count = 0
     for i in range(1, n + 1):
         if entries[i]:
@@ -381,26 +366,21 @@ def detect_symmetric_subsets(bsgs):
                         entries[i] = sign * count
                     entries[j] = sign * count
                     break
-    return SymmetricSubsets(entries)
+    return entries
 
 
 def product_subsets(parts):
     """Symmetric subsets of a :func:`direct_product`, from each block's own.
 
-    ``parts`` holds one :class:`SymmetricSubsets` per block, in slot
-    order.  A pair transposition lies in the product iff it lies in one
-    block, so subsets never span blocks: each block's entries are kept,
-    renumbered after the subsets of the blocks before it.  The product
-    contains -identity iff some block does, so it is inconsistent iff
-    some block is.
+    ``parts`` holds one :func:`detect_symmetric_subsets` array per block,
+    in slot order.  A pair transposition lies in the product iff it lies
+    in one block, so subsets never span blocks: each block's entries are
+    kept, renumbered after the subsets of the blocks before it.
     """
-    n = sum(len(p.entries) - 1 for p in parts)
-    if any(p.inconsistent for p in parts):
-        return SymmetricSubsets([0] * (n + 1), inconsistent=True)
     entries = [0]
     count = 0
     for p in parts:
-        local = p.entries[1:]
+        local = p[1:]
         entries.extend(e + count if e > 0 else e - count if e < 0 else 0 for e in local)
         count += max(map(abs, local), default=0)
-    return SymmetricSubsets(entries)
+    return entries

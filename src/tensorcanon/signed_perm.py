@@ -14,6 +14,9 @@ that a configuration is equal to minus itself (a zero tensor).
 
 Composition is ``compose(a, b) = a∘b``: first apply b, then a, i.e.
 ``compose(a, b)[i] = a[b[i]]``.
+
+:class:`CanonResult`, what the engines and the oracle return, wraps the
+canonical permutation, or None for zero.
 """
 
 from __future__ import annotations
@@ -70,6 +73,36 @@ class SignedPermutation:
         imgs = list(self.images)
         imgs[n], imgs[n + 1] = imgs[n + 1], imgs[n]
         return SignedPermutation(imgs)
+
+
+class CanonResult:
+    """An engine's result: the canonical configuration, a signed permutation, or Zero."""
+
+    __slots__ = ("g",)
+
+    def __init__(self, g):
+        self.g = g
+
+    @classmethod
+    def zero(cls):
+        return cls(None)
+
+    @classmethod
+    def canonical(cls, g):
+        return cls(g)
+
+    @property
+    def is_zero(self):
+        return self.g is None
+
+    def __eq__(self, other):
+        return isinstance(other, CanonResult) and self.g == other.g
+
+    def __hash__(self):
+        return hash(self.g)
+
+    def __repr__(self):
+        return "CanonResult(zero)" if self.is_zero else f"CanonResult({self.g})"
 
 
 def identity(n):

@@ -12,6 +12,7 @@ import random
 import statistics
 import time
 
+from tensorcanon import canon_fast
 from tensorcanon.bench import (
     FAMILIES,
     fit_exponent,
@@ -20,7 +21,7 @@ from tensorcanon.bench import (
     run_bench,
     run_case,
 )
-from tensorcanon.canon_baseline import butler_portugal
+from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
 from tensorcanon.frontend import Registry, parse, build_problem, render
 from tensorcanon.label_context import GroupCode, IndexClass, build, update_context
 from tensorcanon.perm_group import schreier_sims, detect_symmetric_subsets
@@ -34,7 +35,7 @@ def canon_both(decls, expr):
     mono = parse(expr, reg)
     prob = build_problem(mono, reg)
     fast = render(prob.canonicalize(), mono, reg)
-    base = render(butler_portugal(prob.g_init, prob.S, prob.label_bsgs()), mono, reg)
+    base = render(butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes)), mono, reg)
     assert fast == base, (expr, fast, base)
     return fast
 
@@ -95,16 +96,16 @@ def test_golden_label_context_arrays():
 
 def test_golden_symmetric_subsets_arrays():
     prob = make_problem("tensor T rank=6 sym=3..6", "T_{a b c d e f}")
-    assert prob.subsets.as_list() == [0, 0, 1, 1, 1, 1]
+    assert prob.subsets[1:] == [0, 0, 1, 1, 1, 1]
     prob = make_problem(
         'tensor R rank=4 gens="-(1,2),+(1,3)(2,4),-(3,4)"', "R_{a b c d}"
     )
-    assert prob.subsets.as_list() == [-1, -1, -2, -2]
+    assert prob.subsets[1:] == [-1, -1, -2, -2]
     prob = make_problem(
         'tensor T rank=6 sym=3..6\ntensor R rank=4 gens="-(1,2),+(1,3)(2,4),-(3,4)"',
         "T_{a b c d e f} R^{c d}_{g h}",
     )
-    assert prob.subsets.as_list() == [0, 0, 1, 1, 1, 1, -2, -2, -3, -3]
+    assert prob.subsets[1:] == [0, 0, 1, 1, 1, 1, -2, -2, -3, -3]
 
 
 def test_golden_propagated_symmetries_arrays():
@@ -198,7 +199,7 @@ def test_baseline_factorial_blowup_goldens():
         "T_{b d c f a e} S^{e b f d a c}",
     )
     trace = {}
-    result = butler_portugal(prob.g_init, prob.S, prob.label_bsgs(), trace=trace)
+    result = butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes), trace=trace)
     counts = trace["configs_per_slot"]
     assert max(counts) == 720
     assert 1 + sum(counts[:6]) == 1957
@@ -345,7 +346,16 @@ def test_label_context_value_invariant_under_consumption():
         ctx = new
 
 
-def test_propagation_invariants_in_traced_runs():
+def test_propagation_invariants_in_traced_runs(monkeypatch):
+    updates = []  # (prop before, prop after, supplied label values), per update
+    update = canon_fast.update_propagated_symmetries
+
+    def recorded(instances, g, s, ctx, subsets, prop, next_odd):
+        new = update(instances, g, s, ctx, subsets, prop, next_odd)
+        updates.append((prop, new, [ctx.values[g[q - 1]] for _, q in instances]))
+        return new
+
+    monkeypatch.setattr(canon_fast, "update_propagated_symmetries", recorded)
     cases = [
         ('tensor T rank=6 sym=3..6\ntensor R rank=4 gens="-(1,2),+(1,3)(2,4),-(3,4)"',
          "T_{a b 1 1 c d} R^{c}_{e}^{d}_{f}"),
@@ -356,10 +366,11 @@ def test_propagation_invariants_in_traced_runs():
     ]
     for decls, expr in cases:
         prob = make_problem(decls, expr)
-        trace = {}
-        prob.canonicalize(trace=trace)
+        updates.clear()
+        prob.canonicalize()
+        assert updates, expr
         seen_odd = set()
-        for prev, new, _s, values in trace["prop_updates"]:
+        for prev, new, values in updates:
             # every update supplies labels from a single least-value set
             assert len(set(values)) == 1
             # no singleton entries: a symmetry shared by one slot is none

@@ -69,3 +69,10 @@ def test_import_leaves_numpy_unloaded():
     # numpy is for the oracle only; the command line should not pay for it
     code = "import sys, tensorcanon.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
+
+
+# the oracle is independent of the engines, and the frontend runs only the fast one
+@pytest.mark.parametrize("module, engine", [("oracle", "canon_fast"), ("frontend", "canon_baseline")])
+def test_import_leaves_an_engine_it_does_not_run_unloaded(module, engine):
+    code = f"import sys, tensorcanon.{module}; assert 'tensorcanon.{engine}' not in sys.modules, '{engine} loaded'"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})

@@ -340,7 +340,7 @@ def _random_declaration(rng, name):
 
 def test_product_chain_matches_one_schreier_sims():
     rng = random.Random(3)
-    inconsistent = 0
+    minus_one = 0  # products holding -identity
     signed_moves = 0  # shifted-tree representatives that move the sign pair
     for trial in range(60):
         decls = [_random_declaration(rng, f"T{i}") for i in range(4)]
@@ -369,10 +369,12 @@ def test_product_chain_matches_one_schreier_sims():
                 assert S.tree(level).moves(t) == moved, (expr, level, t)
                 assert S.tree(level).rep_inverse(t) == inverse(u), (expr, level, t)
                 signed_moves += level <= S.n and u.sign < 0
-        assert prob.subsets.entries == subsets_old.entries, expr
-        assert prob.subsets.inconsistent == subsets_old.inconsistent, expr
-        inconsistent += subsets_old.inconsistent
-    assert 0 < inconsistent < 60
+        minus = len(S_old.orbit_of(S.n + 1)) == 2
+        assert S.has_minus_one == minus, expr
+        if not minus:
+            assert prob.subsets == subsets_old, expr
+        minus_one += minus
+    assert 0 < minus_one < 60
     assert signed_moves > 0
 
 

@@ -145,12 +145,12 @@ def random_moves(prob, rng, count):
 def assert_coset_invariant(prob, rng, moves, baseline, context):
     fast = prob.canonicalize()
     if baseline:
-        assert butler_portugal(prob.g_init, prob.S, prob.label_bsgs()) == fast, context
+        assert butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes)) == fast, context
     for l, s in random_moves(prob, rng, moves):
         moved = compose(l, compose(prob.g_init, s))
         assert dataclasses.replace(prob, g_init=moved).canonicalize() == fast, (context, moved)
         if baseline:
-            assert butler_portugal(moved, prob.S, prob.label_bsgs()) == fast, (context, moved)
+            assert butler_portugal(moved, prob.S, LabelBsgs.from_classes(prob.classes)) == fast, (context, moved)
     return fast
 
 
@@ -227,7 +227,7 @@ def test_oracle_fuzz_components_and_metricless_bundles():
         expected = brute_force_canonicalize(prob.g_init, S_enum, L_enum)
         context = (trial, decls, expr)
         assert prob.canonicalize() == expected, context
-        assert butler_portugal(prob.g_init, prob.S, prob.label_bsgs()) == expected, context
+        assert butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes)) == expected, context
         checked += 1
         zeros += expected.is_zero
     assert checked == 4000 and 0 < zeros < checked
@@ -478,7 +478,7 @@ def test_baseline_label_generators_reach_the_whole_stabilizer(monkeypatch):
     kinds = set()
     for prob in problems:
         seen.clear()
-        butler_portugal(prob.g_init, prob.S, prob.label_bsgs())
+        butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes))
         group = enumerate_label_group(prob.classes, prob.n).array[:, : prob.n]
         for pinned, gens in seen:
             stabilizer = group[(group[:, [b - 1 for b in pinned]] == pinned).all(axis=1)]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tensorcanon.canon_baseline import butler_portugal
+from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
 from tensorcanon.frontend import Registry, parse, build_problem
 from tensorcanon.label_context import IndexClass
 from tensorcanon.oracle import (
@@ -103,4 +103,4 @@ def test_oracle_agrees_with_engines_spot_check():
         S_enum, L_enum = enum_problem(prob)
         expected = brute_force_canonicalize(prob.g_init, S_enum, L_enum)
         assert prob.canonicalize() == expected, expr
-        assert butler_portugal(prob.g_init, prob.S, prob.label_bsgs()) == expected, expr
+        assert butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes)) == expected, expr

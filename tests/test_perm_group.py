@@ -4,7 +4,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from tensorcanon.signed_perm import SignedPermutation, identity, from_signed_cycles, compose, inverse, parse_cycles
-from tensorcanon.perm_group import Bsgs, schreier_sims, detect_symmetric_subsets
+import pytest
+
+from tensorcanon.perm_group import Bsgs, direct_product, schreier_sims, detect_symmetric_subsets
 
 
 def close_group(n, gens):
@@ -24,15 +26,15 @@ def close_group(n, gens):
 
 
 def closure_subsets(n, elems):
-    """(entries, inconsistent) expected of ``detect_symmetric_subsets``, from the closure.
+    """(entries, has -identity) expected of the chain, from the closure.
 
     Slots joined by a signed transposition in ``elems`` form a class;
     classes of at least 2 slots are numbered left to right and carry the
-    sign of their transpositions.  The group is inconsistent iff it
-    holds -identity.
+    sign of their transpositions.  With -identity in the group the
+    entries are unspecified, and None here.
     """
     if identity(n).negated().images in elems:
-        return [0] * n, True
+        return None, True
     least = list(range(n + 1))  # slot -> least slot of its class
     sign = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
@@ -53,8 +55,7 @@ def closure_subsets(n, elems):
 
 
 def _detected(S):
-    res = detect_symmetric_subsets(S)
-    return res.as_list(), res.inconsistent
+    return (None if S.has_minus_one else detect_symmetric_subsets(S)[1:]), S.has_minus_one
 
 
 def riemann_gens(n=4, offset=0):
@@ -116,7 +117,7 @@ def test_detect_subsets_mixed():
     n = 6
     gens = [from_signed_cycles(n, 1, [(i, i + 1)]) for i in range(3, 6)]
     S = schreier_sims(n, gens)
-    assert detect_symmetric_subsets(S).as_list() == [0, 0, 1, 1, 1, 1]
+    assert detect_symmetric_subsets(S)[1:] == [0, 0, 1, 1, 1, 1]
 
 
 def test_detect_subsets_antisymmetric_pairs():
@@ -124,7 +125,7 @@ def test_detect_subsets_antisymmetric_pairs():
     n = 4
     gens = [from_signed_cycles(n, -1, [(1, 2)]), from_signed_cycles(n, -1, [(3, 4)])]
     S = schreier_sims(n, gens)
-    assert detect_symmetric_subsets(S).as_list() == [-1, -1, -2, -2]
+    assert detect_symmetric_subsets(S)[1:] == [-1, -1, -2, -2]
 
 
 def test_detect_subsets_two_factor():
@@ -136,7 +137,7 @@ def test_detect_subsets_two_factor():
         + [from_signed_cycles(n, -1, [(9, 10)])]
     )
     S = schreier_sims(n, gens)
-    assert detect_symmetric_subsets(S).as_list() == [0, 0, 1, 1, 1, 1, -2, -2, -3, -3]
+    assert detect_symmetric_subsets(S)[1:] == [0, 0, 1, 1, 1, 1, -2, -2, -3, -3]
 
 
 def test_detect_subsets_inconsistent():
@@ -145,15 +146,22 @@ def test_detect_subsets_inconsistent():
     n = 4
     gens = [from_signed_cycles(n, -1, [(1, 2)]), from_signed_cycles(n, 1, [(1, 2)])]
     S = schreier_sims(n, gens)
-    res = detect_symmetric_subsets(S)
-    assert res.inconsistent
+    assert S.has_minus_one
+    assert not schreier_sims(n, gens[:1]).has_minus_one
+
+
+def test_product_chain_has_no_strong_generators():
+    sym = schreier_sims(2, [from_signed_cycles(2, 1, [(1, 2)])])
+    assert sym.generators(1) == [from_signed_cycles(2, 1, [(1, 2)])]
+    with pytest.raises(ValueError, match="^a product chain keeps trees, not strong generators$"):
+        direct_product([sym, sym]).generators(1)
 
 
 def test_riemann_subsets():
     S = schreier_sims(4, riemann_gens())
     # the pair swap (1,3)(2,4) is not a pair transposition, and -(1,2)
     # and -(3,4) are antisymmetric pairs
-    assert detect_symmetric_subsets(S).as_list() == [-1, -1, -2, -2]
+    assert detect_symmetric_subsets(S)[1:] == [-1, -1, -2, -2]
 
 
 @settings(max_examples=25, deadline=None)
@@ -186,7 +194,7 @@ def test_subsets_match_closure_on_random_groups():
         expected = closure_subsets(n, close_group(n, gens))
         assert _detected(schreier_sims(n, gens)) == expected, gens
         inconsistent += expected[1]
-        found += any(expected[0])
+        found += any(expected[0] or ())
     assert 0 < inconsistent < found
 
 
@@ -195,8 +203,8 @@ def test_subset_detection_sifts_only_orbit_points(monkeypatch):
     contains = Bsgs.contains
     monkeypatch.setattr(Bsgs, "contains", lambda self, g: calls.append(g) or contains(self, g))
     S = schreier_sims(253, [])
-    assert detect_symmetric_subsets(S).as_list() == [0] * 253
+    assert detect_symmetric_subsets(S)[1:] == [0] * 253
     assert len(calls) == 0
     S = schreier_sims(32, [from_signed_cycles(32, 1, [(i, i + 1)]) for i in range(1, 32)])
-    assert detect_symmetric_subsets(S).as_list() == [1] * 32
+    assert detect_symmetric_subsets(S)[1:] == [1] * 32
     assert len(calls) <= 31
