@@ -30,7 +30,6 @@ may read every entry, whichever configuration recorded it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from operator import itemgetter
 
 from .label_context import GroupCode, update_context, label_permutation_from_group
@@ -54,20 +53,35 @@ def get_least_value_instances(i, orbit, configs, ctx, prop):
     q == p; when p carries an even propagated entry (a dummy partner
     whose exchange is implied) any slot of the same propagated family
     holding a cheaper label may supply it instead.
+
+    That slot is the first of slots i..n holding the family's least
+    value, taken when it is cheaper than p's own label.  A family's
+    least value and first slot are found in one sweep over i..n, made at
+    the first orbit point of the configuration that carries the family;
+    every later point carrying it reads them.
     """
     n = ctx.n
     values = ctx.values
     least_value = n
     instances = [[] for _ in configs]
     for k, (gi, si, *_) in enumerate(configs):
+        least = {}  # even family -> (least value, first slot holding it) over slots i..n
         for p in orbit:
             q = p
+            value = values[gi[p - 1]]
             entry = prop[si[p - 1]]
             if entry != 0 and entry % 2 == 0:
-                for cand in range(i, n + 1):
-                    if prop[si[cand - 1]] == entry and values[gi[cand - 1]] < values[gi[q - 1]]:
-                        q = cand
-            value = values[gi[q - 1]]
+                found = least.get(entry)
+                if found is None:
+                    found = (n + 1, 0)  # no value exceeds n, and slot p is in the family
+                    for cand, x in enumerate(si[i - 1 : n], i):
+                        if prop[x] == entry:
+                            v = values[gi[cand - 1]]
+                            if v < found[0]:
+                                found = (v, cand)
+                    least[entry] = found
+                if found[0] < value:
+                    value, q = found
             if value < least_value:
                 least_value = value
                 for lst in instances:
@@ -94,17 +108,20 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
     value.  When no written entry is kept (each supplied label is
     consumed, outside a subset or already propagated, or it would be
     alone in its family) the result is ``prop`` itself, so callers must
-    not mutate it.
+    not mutate it.  Nothing is allocated before the first write, and a
+    lone written entry is a singleton, so fewer than two writes return
+    ``prop`` at once.
     """
     groups = ctx.groups
-    wrote = {}  # initial slot -> entry written there
-    memo = {}
+    wrote = None  # initial slot -> entry written there
     for p, q in instances:
         label = g[q - 1]
         sq = s[q - 1]
         sub = subsets[q]
         if groups[label] == _NONE or sub == 0 or prop[sq] != 0:
             continue
+        if wrote is None:
+            wrote, memo = {}, {}
         cur = wrote.get(sq, 0)
         if sub in memo:
             entry = memo[sub]
@@ -123,10 +140,12 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
             old = wrote.get(tgt, prop[tgt])
             if old == 0 or abs(pentry) < abs(old):
                 wrote[tgt] = pentry
-    if not wrote:
+    if wrote is None or len(wrote) < 2:
         return prop
-    counts = Counter(wrote.values())
-    kept = [(x, entry) for x, entry in wrote.items() if counts[entry] > 1]
+    repeated = {}  # entry -> whether it was written more than once
+    for entry in wrote.values():
+        repeated[entry] = entry in repeated
+    kept = [(x, entry) for x, entry in wrote.items() if repeated[entry]]
     if not kept:
         return prop
     new = list(prop)
@@ -229,9 +248,10 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     tables = ctx.tables
     n = ctx.n
     moves = S.tree(i).moves
+    lone = len(instances) == 1  # nothing for it to be redundant with
     for p, q in instances:
         label = g[q - 1]
-        if subsets[p] != 0:
+        if subsets[p] != 0 and not lone:
             if ctx.groups[label] in _DUMMY_CODES:
                 r = g.index(partner[label])
                 family = prop[s[r]]
@@ -391,6 +411,17 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     parent, which passed.  An exchange child is not of that form: its
     swap of two labels comes from a propagated slot symmetry, not from
     the label group, so it is checked again.
+
+    A pass whose context is not live (``ctx.live`` false: every label's
+    group code is ``NONE``) runs neither the propagation update nor the
+    zero check, because both are no-ops there.  The update writes only
+    for an instance whose supplied label has a code other than ``NONE``,
+    so it writes nothing and returns ``prop`` itself.  Every zero rule
+    fires only at a slot whose label has such a code, so the check
+    returns False, for an exchange child too.  Narrowing never turns a
+    code back from ``NONE``, so every later pass is frozen as well: the
+    search ends without another update or check, and ``prop`` is what
+    the last live pass left.
     """
     n = ctx.n
 
@@ -409,13 +440,15 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     for i in range(1, n + 1):
         orbit = S.orbit_of(i)
         least_value, instances = get_least_value_instances(i, orbit, configs, ctx, prop)
+        live = ctx.live
         out = []
         for (g, s, checked), inst in zip(configs, instances):
             if not inst:
                 continue
-            prop = update_propagated_symmetries(inst, g, s, ctx, subsets, prop, next_odd)
-            if prop is not checked and zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
-                return finish(CanonResult.zero(), counts)
+            if live:
+                prop = update_propagated_symmetries(inst, g, s, ctx, subsets, prop, next_odd)
+                if prop is not checked and zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
+                    return finish(CanonResult.zero(), counts)
             append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop)
         ctx = update_context(ctx, least_value)
         if len(out) == 1:

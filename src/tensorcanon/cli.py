@@ -19,8 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import FAMILIES, MAX_BUDGET_S, generate, run_bench, run_case, oracle_result
-from .canon_baseline import LabelBsgs, butler_portugal
+# bench and canon_baseline load on use, so that ``canon`` starts without them
 from .frontend import FrontendError, Registry, parse, build_problem, render
 
 
@@ -44,6 +43,8 @@ def _cmd_canon(args):
         if args.engine in ("fast", "both"):
             outputs["fast"] = render(problem.canonicalize(), monomial, registry)
         if args.engine in ("baseline", "both"):
+            from .canon_baseline import LabelBsgs, butler_portugal
+
             result = butler_portugal(problem.g_init, problem.S, LabelBsgs.from_classes(problem.classes))
             outputs["baseline"] = render(result, monomial, registry)
         if args.engine == "both" and outputs["fast"] != outputs["baseline"]:
@@ -87,10 +88,14 @@ def _sizes(text):
 
 
 def _families(text):
+    from .bench import FAMILIES
+
     return list(FAMILIES) if text == "all" else _parse_list("--families", text, known=FAMILIES)
 
 
 def _cmd_bench(args):
+    from .bench import MAX_BUDGET_S, run_bench
+
     families = _families(args.families)
     sizes = _sizes(args.sizes)
     engines = _parse_list("--engines", args.engines, known=("fast", "baseline"))
@@ -113,6 +118,8 @@ def _cmd_bench(args):
 
 
 def _cmd_oracle_check(args):
+    from .bench import generate, oracle_result, run_case
+
     families = _families(args.families)
     sizes = _sizes(args.sizes)
     _positive("--trials", args.trials)

@@ -83,6 +83,12 @@ class LabelContext:
     has ``least_value``.  A label other than its least value is still
     unconsumed, so it keeps the group code the layout gave it, and the
     pair table never changes.
+
+    ``live`` is true when some label still has a group code other than
+    ``NONE``, that is, when some label can still be exchanged.  It is
+    computed once, at construction, which happens once per layout and
+    least value.  Narrowing only turns codes into ``NONE``, so every
+    context narrowed from one that is not live is not live either.
     """
 
     def __init__(self, values, groups, partner, tables=None):
@@ -90,6 +96,7 @@ class LabelContext:
         self.groups = groups
         self.partner = partner
         self.n = len(values) - 1
+        self.live = any(groups)
         self.children = {}
         self.tables = {} if tables is None else tables
 

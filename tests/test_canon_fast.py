@@ -10,10 +10,12 @@ from tensorcanon.canon_fast import (
     MAX_SLOTS,
     _table,
     canonicalize,
+    get_least_value_instances,
     update_propagated_symmetries,
     zero_due_to_propagated_symmetries,
 )
 from tensorcanon.frontend import Registry, build_problem, factor_text, parse, render
+from tensorcanon.label_context import IndexClass, build
 from tensorcanon.signed_perm import SignedPermutation, compose, identity, parse_array
 
 
@@ -126,6 +128,15 @@ def test_update_whose_entries_are_all_singletons_returns_prop():
     assert update_propagated_symmetries([(2, 2)], g, s, prob.ctx, prob.subsets, prop, next_odd) is prop
     assert prop == [0] * (n + 1)
     assert next_odd() == 3  # the entry was drawn, then dropped
+
+
+def test_even_family_tie_goes_to_its_first_slot():
+    # slot 1 holds the free label 3 and carries even entry 2, whose other
+    # slots 2 and 3 hold the legs of one pair, both of value 1: the first
+    # of them supplies the label
+    ctx = build([IndexClass("dummy", 1, "symmetric"), IndexClass("free", 1)])
+    g, s = bytes([3, 1, 2, 4, 5]), bytes([1, 2, 3, 4, 5])
+    assert get_least_value_instances(1, [1], [(g, s, None)], ctx, [0, 2, 2, 2]) == (1, [[(1, 2)]])
 
 
 def _zero_check(prob, entries):
@@ -300,6 +311,22 @@ def test_exchange_children_are_checked_again(monkeypatch):
         generate("riemann", 4, trial).problem.canonicalize()
     assert markers[True] and set(markers[True]) == {None}
     assert markers[False] and set(markers[False]) == {True}
+
+
+def test_frees_only_monomial_runs_no_update_or_zero_check(monkeypatch):
+    # every label of T_{e d c b a} is free, so no pass has a label left
+    # to exchange: no propagated symmetry is recorded and no zero checked
+    calls = []
+    for name in ("update_propagated_symmetries", "zero_due_to_propagated_symmetries"):
+        helper = getattr(canon_fast, name)
+        monkeypatch.setattr(canon_fast, name, lambda *args, name=name, helper=helper: calls.append(name) or helper(*args))
+    reg, mono, prob = make_problem("tensor T rank=5 sym=1..5", "T_{e d c b a}")
+    trace = {}
+    result = prob.canonicalize(trace=trace)
+    assert calls == []
+    assert render(result, mono, reg) == "T_{a b c d e}"
+    assert trace["configs_per_slot"] == [1] * 5
+    assert not prob.ctx.live
 
 
 def test_mixed_partner_subsets_regression():

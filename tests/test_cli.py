@@ -71,8 +71,12 @@ def test_import_leaves_numpy_unloaded():
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
 
 
-# the oracle is independent of the engines, and the frontend runs only the fast one
-@pytest.mark.parametrize("module, engine", [("oracle", "canon_fast"), ("frontend", "canon_baseline")])
+# the oracle is independent of the engines, the frontend runs only the fast
+# one, and the command line loads the baseline and the bench harness only
+# for the subcommands that use them
+@pytest.mark.parametrize("module, engine", [
+    ("oracle", "canon_fast"), ("frontend", "canon_baseline"), ("cli", "bench"), ("cli", "canon_baseline"),
+])
 def test_import_leaves_an_engine_it_does_not_run_unloaded(module, engine):
     code = f"import sys, tensorcanon.{module}; assert 'tensorcanon.{engine}' not in sys.modules, '{engine} loaded'"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})

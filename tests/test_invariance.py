@@ -11,8 +11,10 @@ the benchmark families never use.
   without its sign, canonicalizes to itself.
 * The fast engine's shortcut, checked where it is taken: a zero check it
   skips would have passed.
-* The fast engine's propagation updates and narrowed label contexts,
-  against plain references written here.
+* The fast engine's least-value scans, propagation updates and
+  narrowed label contexts, against plain references written here.
+* Passes with no label left to exchange, which skip the propagation
+  update and the zero check: forcing both in changes nothing.
 * One Registry shared by the mixed monomials gives the outputs of a
   fresh Registry per monomial.
 * The baseline's filtered label generators: at every pass they reach
@@ -31,7 +33,7 @@ from tensorcanon import canon_fast
 from tensorcanon.bench import FAMILIES, generate
 from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
 from tensorcanon.frontend import Registry, build_problem, factor_text, parse, render
-from tensorcanon.label_context import GroupCode, label_permutation_from_group
+from tensorcanon.label_context import GroupCode, LabelContext, label_permutation_from_group
 from tensorcanon.oracle import brute_force_canonicalize, enumerate_group, enumerate_label_group
 from tensorcanon.perm_group import SchreierTree
 from tensorcanon.signed_perm import SignedPermutation, compose, identity
@@ -315,10 +317,13 @@ def skipped_zero_checks(monkeypatch):
     """Run each zero check the fast engine skips, and count them.
 
     The engine skips a configuration's check when ``prop`` is still the
-    array its parent passed.  Every configuration is updated just before
-    its check would run, so an update that no check follows, before the
-    next update or the end of the search, marks a skipped check; it is
-    run here on the updated array and must find no zero.
+    array its parent passed.  In a pass whose context is live, every
+    configuration is updated just before its check would run, so an
+    update that no check follows, before the next update or the end of
+    the search, marks a skipped check; it is run here on the updated
+    array and must find no zero.  A pass whose context is not live runs
+    neither, so no check it skips is seen here:
+    :func:`test_frozen_passes_skip_only_no_ops` covers those passes.
     """
     update = canon_fast.update_propagated_symmetries
     zero = canon_fast.zero_due_to_propagated_symmetries
@@ -356,6 +361,75 @@ def test_skipped_zero_checks_find_no_zero(skipped_zero_checks):
         assert_coset_invariant(prob, rng, 3, False, context)
         settle()
     assert counts["skipped"] > counts["run"] > 0, counts
+
+
+def test_frozen_passes_skip_only_no_ops(monkeypatch):
+    """Forcing the propagation update and the zero check into every pass
+    changes no output and no configuration count, and in a context that
+    is not live each forced call is a no-op: the update returns ``prop``
+    itself and the check returns False."""
+    problems = list(small_bench_problems())
+    for rng, prob, _context in mixed_bundle_problems():
+        problems.append(prob)
+        problems += [dataclasses.replace(prob, g_init=compose(l, compose(prob.g_init, s))) for l, s in random_moves(prob, rng, 3)]
+
+    def run():
+        runs = []
+        for prob in problems:
+            trace = {}
+            runs.append((prob.canonicalize(trace=trace), trace["configs_per_slot"]))
+        return runs
+
+    shipped = run()
+    update = canon_fast.update_propagated_symmetries
+    zero = canon_fast.zero_due_to_propagated_symmetries
+    frozen = {"updates": 0, "checks": 0}
+
+    def forced_update(instances, g, s, ctx, subsets, prop, next_odd):
+        new = update(instances, g, s, ctx, subsets, prop, next_odd)
+        if not any(ctx.groups):
+            assert new is prop
+            frozen["updates"] += 1
+        return new
+
+    def forced_zero(g, s, ctx, subsets, prop):
+        vanishes = zero(g, s, ctx, subsets, prop)
+        if not any(ctx.groups):
+            assert vanishes is False
+            frozen["checks"] += 1
+        return vanishes
+
+    # a property on the class overrides the flag each context sets on itself
+    monkeypatch.setattr(LabelContext, "live", property(lambda self: True, lambda self, value: None), raising=False)
+    monkeypatch.setattr(canon_fast, "update_propagated_symmetries", forced_update)
+    monkeypatch.setattr(canon_fast, "zero_due_to_propagated_symmetries", forced_zero)
+    assert run() == shipped
+    assert frozen["updates"] > frozen["checks"] > 0, frozen
+
+
+def reference_least_values(i, orbit, configs, ctx, prop):
+    """The least-value scan written plainly: for each orbit point with an
+    even entry, scan slots i..n again for a cheaper label of its family."""
+    n, values = ctx.n, ctx.values
+    least_value = n
+    instances = [[] for _ in configs]
+    for k, (g, s, *_) in enumerate(configs):
+        for p in orbit:
+            q = p
+            entry = prop[s[p - 1]]
+            if entry != 0 and entry % 2 == 0:
+                for cand in range(i, n + 1):
+                    if prop[s[cand - 1]] == entry and values[g[cand - 1]] < values[g[q - 1]]:
+                        q = cand
+            value = values[g[q - 1]]
+            if value < least_value:
+                least_value = value
+                for lst in instances:
+                    lst.clear()
+                instances[k].append((p, q))
+            elif value == least_value:
+                instances[k].append((p, q))
+    return least_value, instances
 
 
 def reference_update(instances, g, s, ctx, subsets, prop, next_odd):
@@ -403,14 +477,23 @@ def reference_narrow(ctx, least_value):
 
 
 def test_updates_match_their_references(monkeypatch):
-    """Each propagation update equals :func:`reference_update`, and is its
+    """Each least-value scan returns what :func:`reference_least_values`
+    does; each propagation update equals :func:`reference_update`, and is its
     ``prop`` argument exactly when it adds nothing; each narrowed label
     context, kept or returned as it was, equals :func:`reference_narrow`;
     and each label table kept for a layout is the one its built context
     gives."""
+    least = canon_fast.get_least_value_instances
     update = canon_fast.update_propagated_symmetries
     narrow = canon_fast.update_context
-    counts = {"updates": 0, "unchanged": 0, "contexts": 0, "frozen": 0, "tables": 0}
+    counts = {"scans": 0, "exchanges": 0, "updates": 0, "unchanged": 0, "contexts": 0, "frozen": 0, "tables": 0}
+
+    def checked_least(i, orbit, configs, ctx, prop):
+        found = least(i, orbit, configs, ctx, prop)
+        assert found == reference_least_values(i, orbit, configs, ctx, prop)
+        counts["scans"] += 1
+        counts["exchanges"] += any(p != q for inst in found[1] for p, q in inst)
+        return found
 
     def checked_update(instances, g, s, ctx, subsets, prop, next_odd):
         drawn = []
@@ -442,6 +525,7 @@ def test_updates_match_their_references(monkeypatch):
             assert table == canon_fast._table(label_permutation_from_group(ctx, label, least)), (label, least)
             counts["tables"] += 1
 
+    monkeypatch.setattr(canon_fast, "get_least_value_instances", checked_least)
     monkeypatch.setattr(canon_fast, "update_propagated_symmetries", checked_update)
     monkeypatch.setattr(canon_fast, "update_context", checked_narrow)
     for prob in small_bench_problems():
@@ -450,6 +534,7 @@ def test_updates_match_their_references(monkeypatch):
     for rng, prob, context in mixed_bundle_problems():
         assert_coset_invariant(prob, rng, 3, False, context)
         check_tables(prob.ctx)
+    assert counts["scans"] > counts["exchanges"] > 0, counts
     assert counts["updates"] > counts["unchanged"] > 0, counts
     assert counts["tables"] > 0, counts
     assert counts["contexts"] > counts["frozen"] > 0, counts
