@@ -172,7 +172,8 @@ MAX_BUDGET_S = 1e9
 @contextmanager
 def budget(seconds):
     """Raise :class:`TimeoutError` in the body after ``seconds`` of wall time
-    (``SIGALRM``, Unix); ``None`` sets no timer, a budget <= 0 raises at once.
+    (``SIGALRM``, Unix), and again every 10 ms until the body ends;
+    ``None`` sets no timer, a budget <= 0 raises at once.
     ``seconds`` must not exceed ``MAX_BUDGET_S``."""
     if seconds is None:
         yield
@@ -184,7 +185,9 @@ def budget(seconds):
         raise TimeoutError(f"over the {seconds}s time budget")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    # Python drops an exception raised in a finalizer (say a __del__ the
+    # cyclic gc runs), so the timer repeats until the finally disarms it.
+    signal.setitimer(signal.ITIMER_REAL, seconds, min(seconds, 0.01))
     try:
         yield
     finally:

@@ -14,7 +14,8 @@ transpositions on that slot range.  ``gens``, ``sym`` and ``asym`` may be
 repeated; ``rank`` and ``metric`` may not.  A tensor NAME is an ASCII
 letter followed by letters and digits, and a bundle NAME is letters and
 digits; any other name is refused at declaration, since no expression
-could use it.  A bundle is matched by name prefix on index tokens
+could use it, and so is a rank over ``canon_fast.MAX_SLOTS`` (see
+Expressions).  A bundle is matched by name prefix on index tokens
 (longest declared prefix wins); undeclared tokens fall into an implicit
 symmetric-metric bundle.
 Declaring a name again replaces its declaration; a bundle keeps its
@@ -23,21 +24,26 @@ place in label order.
 Expressions
 -----------
 
-Factors are separated by whitespace or ``*``.  Each factor is a tensor
-name followed by index groups ``_{...}`` (lower) and ``^{...}`` (upper);
-tokens inside groups are separated by whitespace.  An all-digit token is
-a component label, written without leading zeros (``01`` is refused, so
-each numeral has one spelling); other tokens are index names.  Every
-non-component name must appear exactly once (free) or exactly twice,
-once lower and once upper (dummy).  A monomial has at most 253 slots
-(``canon_fast.MAX_SLOTS``: the fast engine keeps a configuration's n
-slots and its sign pair as bytes); :func:`parse` refuses a longer one.
+Factors are separated by whitespace, newlines included, or ``*``.  Each
+factor is a tensor name followed by index groups ``_{...}`` (lower) and
+``^{...}`` (upper); tokens inside groups are separated by whitespace.
+An all-digit token is a component label, written without leading zeros
+(``01`` is refused, so each numeral has one spelling); other tokens are
+index names.  Every non-component name must appear exactly once (free)
+or exactly twice, once lower and once upper (dummy).  A monomial has
+at most 253 slots (``canon_fast.MAX_SLOTS``: the fast engine keeps a
+configuration's n slots and its sign pair as bytes); :func:`parse`
+refuses a longer one.
 
 Label order
 -----------
 
 :func:`parse` assigns labels 1..n to the slots once and binds each
 factor to its tensor's declaration; a later declaration changes neither.
+The :class:`TensorMonomial` it returns is plain data: the bound
+declaration of each factor (``decls``), one ``(text, variance)`` pair
+per slot as written (``tokens``), the slots' ``labels``, the tuple of
+index classes (``classes``) and ``label_info`` (see Printing).
 Labels go to index classes in <-order: free names alphabetically, then
 component classes grouped by bundle and numeral, then one dummy class
 per bundle in declaration order, the implicit bundle last (pairs
@@ -84,12 +90,12 @@ The frontend models no exchange of equal factors, so a monomial's slot
 group is the product of its factors' groups, which share only the sign.
 Each :class:`TensorDecl` computes its own chain and symmetric subsets on
 first use and keeps them.  The :class:`Registry` keeps one product
-(``perm_group.direct_product``) per sequence of declarations that
-:func:`build_problem` has met, for its whole life: every monomial whose
-factors were bound to the same declarations, in the same order, shares
-one slot chain and one set of subsets.  Declarations are compared by
-identity, so a redeclared tensor starts a new product and the old one
-stays with the monomials parsed before.
+(``perm_group.direct_product``) per sequence of declarations, a
+monomial's ``decls``, that :func:`build_problem` has met, for its whole
+life: every monomial whose factors were bound to the same declarations,
+in the same order, shares one slot chain and one set of subsets.
+Declarations are compared by identity, so a redeclared tensor starts a
+new product and the old one stays with the monomials parsed before.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ from operator import itemgetter
 from .canon_fast import MAX_SLOTS, canonicalize
 from .label_context import IndexClass, build as build_context
 from .perm_group import direct_product, product_subsets, schreier_sims, detect_symmetric_subsets
-from .signed_perm import CanonResult, SignedPermutation, from_signed_cycles, parse_cycles
+from .signed_perm import SignedPermutation, from_signed_cycles, parse_cycles
 
 
 class FrontendError(ValueError):
@@ -153,9 +159,9 @@ class Registry:
     def __init__(self):
         self.tensors = {}
         self.bundles = {}  # name -> Bundle; declaration order matters for label order
-        # tuple of TensorDecl, one per factor -> (slot Bsgs, symmetric-subset slot array)
+        # a monomial's decls, one TensorDecl per factor -> (slot Bsgs, symmetric-subset slot array)
         self.products = {}
-        # tuple of IndexClass, a monomial's class layout -> its initial LabelContext
+        # a monomial's classes, its class layout -> its initial LabelContext
         self.contexts = {}
 
     def declare(self, line):
@@ -207,6 +213,8 @@ class Registry:
                 raise FrontendError(f"unknown option {key!r} in {line!r}")
         if rank is None:
             raise FrontendError(f"tensor {name}: rank is required")
+        if rank > MAX_SLOTS:
+            raise FrontendError(f"tensor {name}: rank {rank} is over the {MAX_SLOTS} slots a monomial may have")
         try:
             parsed = _parse_gen_list(", ".join(gens), rank) if gens else []
         except ValueError as exc:
@@ -248,10 +256,6 @@ class Registry:
                 best, best_len = i, len(name)
         return best
 
-    def bundle_of(self, token):
-        """The bundle owning an index token (see :meth:`bundle_index`)."""
-        return [*self.bundles.values(), _DEFAULT_BUNDLE][self.bundle_index(token)]
-
 
 _DEFAULT_BUNDLE = Bundle("", "symmetric")
 
@@ -267,28 +271,11 @@ def _parse_gen_list(text, rank):
 
 
 @dataclass
-class IndexToken:
-    name: str  # index name or numeral text
-    variance: str  # "d" (lower) or "u" (upper)
-
-    @property
-    def is_component(self):
-        return self.name.isdigit()
-
-
-@dataclass
-class Factor:
-    tensor: str
-    indices: list  # of IndexToken
-    decl: TensorDecl  # the declaration in force at parse
-
-
-@dataclass
 class TensorMonomial:
-    factors: list  # of Factor
-    slots: list  # IndexToken per slot (0-based, factors in order)
+    decls: tuple  # TensorDecl bound to each factor at parse, factors in order
+    tokens: tuple  # (text, variance) per slot (0-based, factors in order)
     labels: tuple  # slot -> label 1..n
-    classes: list  # IndexClass list in <-order
+    classes: tuple  # IndexClass per class, in <-order
     label_info: list  # label 1..n -> (text, own, pair); see "Printing"
 
 
@@ -298,11 +285,12 @@ _GROUP_RE = re.compile(r"([_^])\{([^{}]*)\}")
 
 def parse(text, registry):
     """Parse an expression into a validated, labelled :class:`TensorMonomial`."""
-    factors = []
+    decls = []
+    tokens = []
     pos = 0
     src = text.strip()
     while pos < len(src):
-        if src[pos] in " \t*":
+        if src[pos].isspace() or src[pos] == "*":
             pos += 1
             continue
         m = _FACTOR_RE.match(src, pos)
@@ -310,43 +298,41 @@ def parse(text, registry):
             raise FrontendError(f"cannot parse factor at {src[pos:]!r}")
         name, groups = m.group(1), m.group(2)
         pos = m.end()
-        if name not in registry.tensors:
+        decl = registry.tensors.get(name)
+        if decl is None:
             raise FrontendError(f"undeclared tensor {name!r}")
-        indices = []
+        start = len(tokens)
         for gm in _GROUP_RE.finditer(groups):
             variance = "d" if gm.group(1) == "_" else "u"
             for tok in gm.group(2).split():
                 # a numeral has one spelling: no leading zero
                 if not (tok.isascii() and tok.isalnum()) or (tok.isdigit() and tok.startswith("0") and tok != "0"):
                     raise FrontendError(f"malformed index token {tok!r}")
-                indices.append(IndexToken(tok, variance))
-        decl = registry.tensors[name]
-        if len(indices) != decl.rank:
+                tokens.append((tok, variance))
+        if len(tokens) - start != decl.rank:
             raise FrontendError(
-                f"tensor {name} has rank {decl.rank} but {len(indices)} indices given"
+                f"tensor {name} has rank {decl.rank} but {len(tokens) - start} indices given"
             )
-        factors.append(Factor(name, indices, decl))
-    if not factors:
+        decls.append(decl)
+    if not decls:
         raise FrontendError("empty expression")
-    n = sum(len(f.indices) for f in factors)
-    if n > MAX_SLOTS:
-        raise FrontendError(f"expression has {n} slots; at most {MAX_SLOTS} are supported")
-    return _label(factors, registry)
+    if len(tokens) > MAX_SLOTS:
+        raise FrontendError(f"expression has {len(tokens)} slots; at most {MAX_SLOTS} are supported")
+    return _label(tuple(decls), tuple(tokens), registry)
 
 
-def _label(factors, registry):
+def _label(decls, tokens, registry):
     """Check that each index name is free or one dummy pair, label the
     slots, and record how each label prints."""
     bundles = [*registry.bundles.values(), _DEFAULT_BUNDLE]
-    slots = [tok for f in factors for tok in f.indices]
     occurrences = {}  # index name -> slot positions
     components = {}  # (bundle index, numeral) -> slot positions
-    for pos, tok in enumerate(slots):
-        if tok.is_component:
-            key = (registry.bundle_index(tok.name), int(tok.name))
+    for pos, (text, _) in enumerate(tokens):
+        if text.isdigit():
+            key = (registry.bundle_index(text), int(text))
             components.setdefault(key, []).append(pos)
         else:
-            occurrences.setdefault(tok.name, []).append(pos)
+            occurrences.setdefault(text, []).append(pos)
     frees = []
     dummies = {}  # bundle index -> {name: (lower slot, upper slot)}
     for name, where in occurrences.items():
@@ -354,21 +340,22 @@ def _label(factors, registry):
             frees.append(name)
         elif len(where) == 2:
             lo, hi = where
-            if slots[lo].variance == slots[hi].variance:
+            if tokens[lo][1] == tokens[hi][1]:
                 raise FrontendError(f"index {name!r} repeated with the same variance")
-            if slots[lo].variance == "u":
+            if tokens[lo][1] == "u":
                 lo, hi = hi, lo
             dummies.setdefault(registry.bundle_index(name), {})[name] = (lo, hi)
         else:
             raise FrontendError(f"index {name!r} appears {len(where)} times")
 
-    labels = [0] * len(slots)
+    labels = [0] * len(tokens)
     classes = []
     label_info = [None]  # 1-based
 
     def assign(pos, keeps_variance, pair=0):
         labels[pos] = len(label_info)
-        label_info.append((slots[pos].name, slots[pos].variance if keeps_variance else None, pair))
+        text, variance = tokens[pos]
+        label_info.append((text, variance if keeps_variance else None, pair))
 
     frees.sort()
     if frees:
@@ -387,7 +374,7 @@ def _label(factors, registry):
             pair = 0 if keeps_variance else len(label_info)
             for pos in dummies[bi][name]:  # lower leg, then upper
                 assign(pos, keeps_variance, pair)
-    return TensorMonomial(factors, slots, tuple(labels), classes, label_info)
+    return TensorMonomial(decls, tokens, tuple(labels), tuple(classes), label_info)
 
 
 @dataclass
@@ -399,7 +386,7 @@ class CanonProblem:
     S: object  # slot Bsgs
     ctx: object  # LabelContext
     subsets: list  # 1-based slot array of perm_group.detect_symmetric_subsets
-    classes: list  # IndexClass list in <-order
+    classes: tuple  # IndexClass per class, in <-order
 
     def canonicalize(self, trace=None):
         return canonicalize(self.g_init, self.S, self.ctx, self.subsets, trace=trace)
@@ -409,29 +396,28 @@ def build_problem(monomial, registry):
     """Translate a parsed monomial into a canonicalization problem.
 
     The labels are the ones :func:`parse` assigned.  The slot group and
-    its symmetric subsets come from ``registry.products``, keyed by the
-    declarations :func:`parse` bound to the factors, in order.  The first
-    monomial with a new key assembles them from each factor's cached
-    chain (:meth:`TensorDecl.chain`), shifted to the factor's slots;
-    every later one shares that product.  The registry's current
-    declarations are not consulted.  The initial label context comes
-    from ``registry.contexts``, keyed by the monomial's class layout,
-    which fixes it: every monomial of one layout shares one context, and
-    with it the narrowed contexts and label tables that the fast engine
-    keeps there (see :mod:`~tensorcanon.label_context`).
+    its symmetric subsets come from ``registry.products``, keyed by
+    ``monomial.decls``, the declarations :func:`parse` bound to the
+    factors, in order.  The first monomial with a new key assembles them
+    from each factor's cached chain (:meth:`TensorDecl.chain`), shifted
+    to the factor's slots; every later one shares that product.  The
+    registry's current declarations are not consulted.  The initial
+    label context comes from ``registry.contexts``, keyed by
+    ``monomial.classes``, the class layout, which fixes it: every
+    monomial of one layout shares one context, and with it the narrowed
+    contexts and label tables that the fast engine keeps there (see
+    :mod:`~tensorcanon.label_context`).
     """
     n = len(monomial.labels)
     g_init = SignedPermutation(monomial.labels + (n + 1, n + 2))
-    decls = tuple(f.decl for f in monomial.factors)
-    product = registry.products.get(decls)
+    product = registry.products.get(monomial.decls)
     if product is None:
-        chains, local_subsets = zip(*(decl.chain() for decl in decls))
-        product = registry.products[decls] = (direct_product(chains), product_subsets(local_subsets))
+        chains, local_subsets = zip(*(decl.chain() for decl in monomial.decls))
+        product = registry.products[monomial.decls] = (direct_product(chains), product_subsets(local_subsets))
     S, subsets = product
-    layout = tuple(monomial.classes)
-    ctx = registry.contexts.get(layout)
+    ctx = registry.contexts.get(monomial.classes)
     if ctx is None:
-        ctx = registry.contexts[layout] = build_context(monomial.classes)
+        ctx = registry.contexts[monomial.classes] = build_context(monomial.classes)
     return CanonProblem(n, g_init, S, ctx, subsets, monomial.classes)
 
 
@@ -445,30 +431,29 @@ def factor_text(name, tokens):
 
 
 def render(result, monomial, registry):
-    """Render an engine result back to expression text.
+    """Render an engine result, a :class:`~tensorcanon.signed_perm.CanonResult`,
+    back to expression text.
 
     Slot i prints label g[i] as its ``monomial.label_info`` entry says
-    (see "Printing" in the module docstring).  The output re-parses to an
-    equivalent monomial.  ``registry`` is not consulted: the monomial
-    carries its labelling.
+    (see "Printing" in the module docstring), and factor f as its bound
+    declaration's name over that declaration's rank of slots.  The
+    output re-parses to an equivalent monomial.  ``registry`` is not
+    consulted: the monomial carries its labelling.
     """
-    if isinstance(result, CanonResult):
-        if result.is_zero:
-            return "0"
-        g = result.g
-    else:
-        g = result
+    if result.is_zero:
+        return "0"
+    g = result.g
     texts, variances = [], []
     legs = {}  # lower-leg label of a metric pair -> its two slot positions
-    for pos, tok in enumerate(monomial.slots):
+    for pos, (_, variance) in enumerate(monomial.tokens):
         text, own, pair = monomial.label_info[g[pos + 1]]
         texts.append(text)
-        variances.append(own or tok.variance)
+        variances.append(own or variance)
         if pair:
             legs.setdefault(pair, []).append(pos)
     for i, j in legs.values():
         if variances[i] == variances[j]:
             variances[i], variances[j] = "d", "u"
     printed = zip(texts, variances)
-    parts = [factor_text(f.tensor, islice(printed, len(f.indices))) for f in monomial.factors]
+    parts = [factor_text(decl.name, islice(printed, decl.rank)) for decl in monomial.decls]
     return ("-" if g.sign < 0 else "") + " ".join(parts)

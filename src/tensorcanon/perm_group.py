@@ -10,8 +10,8 @@ Schreier trees are built breadth-first with generators tried in
 ascending index order, which makes coset representatives deterministic.
 Each tree builds a representative, its inverse and the points it moves
 the first time it is asked for and keeps them; the trees of a product
-shift the ones their block's tree keeps, and keep the shifted orbit and
-moved points themselves.
+shift the moved points their block's tree keeps, keep the shifted orbit
+and moved points themselves, and build representatives from those.
 Everything else is read off the chain: membership sifts through the
 trees (:func:`_sift`, shared with Schreier-Sims), whether -identity is
 a member (:attr:`Bsgs.has_minus_one`) from the sign level, and the
@@ -237,28 +237,16 @@ def schreier_sims(n, generators):
     return Bsgs(n, [tuple(gens) for gens in level_gens], trees)
 
 
-def _shift(g, offset, n):
-    """A permutation of local slots 1..k moved to slots offset+1..offset+k of degree n."""
-    k = g.degree
-    sign = (n + 1, n + 2) if g.sign > 0 else (n + 2, n + 1)
-    return SignedPermutation(
-        tuple(range(1, offset + 1))
-        + tuple(x + offset for x in g.images[:k])
-        + tuple(range(offset + k + 1, n + 1))
-        + sign
-    )
-
-
 class _ShiftedTree:
     """A block's Schreier tree read with its points moved up by ``offset``.
 
-    Coset representatives, their inverses and their moved points are
-    the block's own, cached once on the block's tree: local points 1..k
-    map to offset+1..offset+k and the local sign pair k+1, k+2 to n+1,
-    n+2.  Representatives and inverses are shifted on each call; the
-    orbit is shifted once, and each representative's moved points the
-    first time :meth:`moves` is asked for them, and both are kept, since
-    a product is shared by every monomial of its declarations.
+    Coset representatives are the block's own, cached once on the
+    block's tree: local points 1..k map to offset+1..offset+k and the
+    local sign pair k+1, k+2 to n+1, n+2.  The orbit is shifted once,
+    and each representative's moved points the first time :meth:`moves`
+    is asked for them, and both are kept, since a product is shared by
+    every monomial of its declarations.  A representative and its
+    inverse are built from those moved points on each call.
     """
 
     __slots__ = ("_tree", "_offset", "_n", "root", "orbit", "_moves")
@@ -283,10 +271,17 @@ class _ShiftedTree:
         return target - self._offset
 
     def rep(self, target):
-        return _shift(self._tree.rep(self._local(target)), self._offset, self._n)
+        return self._patched(self.moves(target))
 
     def rep_inverse(self, target):
-        return _shift(self._tree.rep_inverse(self._local(target)), self._offset, self._n)
+        return self._patched((y, x) for x, y in self.moves(target))
+
+    def _patched(self, pairs):
+        """The identity of degree n with x mapped to y for each (x, y) in ``pairs``."""
+        images = list(range(1, self._n + 3))
+        for x, y in pairs:
+            images[x - 1] = y
+        return SignedPermutation(images)
 
     def moves(self, target):
         m = self._moves.get(target)
@@ -312,8 +307,8 @@ def direct_product(chains):
     those of ``schreier_sims`` run on all the shifted generators at once:
     generators of other blocks fix a block's points, so they add no edge
     to its trees and no residue to its levels.  Representatives are
-    shifted on demand.  The product keeps no strong generators: every
-    caller reads its trees.
+    built from their shifted moved points on demand.  The product keeps
+    no strong generators: every caller reads its trees.
     """
     n = sum(c.n for c in chains)
     deg = n + 2

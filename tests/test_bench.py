@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import math
 import signal
@@ -155,6 +156,34 @@ def test_budget_interrupts_the_body_and_restores_the_handler():
         pass
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
     assert signal.getsignal(signal.SIGALRM) is before
+
+
+class _SlowFinalizer:
+    """Cyclic garbage whose __del__ busy-waits 10 ms: a SIGALRM handled
+    there raises in a finalizer, where Python drops the exception."""
+
+    def __init__(self):
+        self.cycle = self
+
+    def __del__(self):
+        end = time.perf_counter() + 0.01
+        while time.perf_counter() < end:
+            pass
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+def test_budget_fires_again_after_a_finalizer_drops_its_timeout():
+    t0 = time.perf_counter()
+    with pytest.raises(TimeoutError):
+        with budget(0.05):
+            for _ in range(90):
+                _SlowFinalizer()
+            gc.collect()  # about 0.9 s of __del__, over the deadline
+            end = time.perf_counter() + 0.1
+            while time.perf_counter() < end:
+                pass
+    assert time.perf_counter() - t0 < 2.0
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 def test_budget_none_leaves_signal_state_alone():

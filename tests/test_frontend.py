@@ -13,7 +13,7 @@ from tensorcanon.frontend import (
 )
 from tensorcanon.label_context import GroupCode
 from tensorcanon.perm_group import SchreierTree, detect_symmetric_subsets, schreier_sims
-from tensorcanon.signed_perm import SignedPermutation, format_cycles, inverse, parse_array
+from tensorcanon.signed_perm import CanonResult, SignedPermutation, format_cycles, inverse, parse_array
 
 
 def canon_text(decls, expr):
@@ -68,8 +68,10 @@ def test_declaration_errors():
     "tensor 2A rank=2",
     "tensor A-b rank=1",
     "bundle x_ metric=none",
+    # more slots than a monomial may have (canon_fast.MAX_SLOTS)
+    "tensor T rank=254",
 ], ids=["rank-not-a-number", "gens-point-beyond-rank", "rank-zero", "rank-negative",
-        "tensor-name-leading-digit", "tensor-name-dash", "bundle-name-underscore"])
+        "tensor-name-leading-digit", "tensor-name-dash", "bundle-name-underscore", "rank-over-max-slots"])
 def test_bad_declaration_rejected_when_declared(line):
     reg = Registry()
     with pytest.raises(FrontendError):
@@ -81,16 +83,17 @@ def test_parse_factors_and_variance():
     reg = Registry()
     reg.declare("tensor T rank=3")
     mono = parse("T_{a b}^{c}", reg)
-    assert [f.tensor for f in mono.factors] == ["T"]
-    assert [(t.name, t.variance) for t in mono.slots] == [("a", "d"), ("b", "d"), ("c", "u")]
+    assert [decl.name for decl in mono.decls] == ["T"]
+    assert mono.tokens == (("a", "d"), ("b", "d"), ("c", "u"))
 
 
 def test_parse_star_separator():
     reg = Registry()
     reg.declare("tensor T rank=1")
     reg.declare("tensor U rank=1")
-    mono = parse("T_{a} * U^{a}", reg)
-    assert len(mono.factors) == 2
+    for expr in ("T_{a} * U^{a}", "T_{a}\nU^{a}"):
+        mono = parse(expr, reg)
+        assert len(mono.decls) == 2
 
 
 def test_parse_errors():
@@ -135,9 +138,9 @@ def test_bundle_prefix_matching():
     reg.declare_all(
         "bundle mu metric=none\nbundle m metric=antisymmetric\ntensor T rank=2"
     )
-    assert reg.bundle_of("mu3").name == "mu"  # longest prefix wins
-    assert reg.bundle_of("m1").name == "m"
-    assert reg.bundle_of("x").name == ""  # implicit default bundle
+    assert reg.bundle_index("mu3") == 0  # longest prefix wins
+    assert reg.bundle_index("m1") == 1
+    assert reg.bundle_index("x") == 2  # implicit default bundle, after every declared one
 
 
 @pytest.mark.parametrize("first, second, expected", [
@@ -148,7 +151,7 @@ def test_redeclared_bundle_replaces_the_first(first, second, expected):
     reg = Registry()
     reg.declare_all(f"bundle a metric={first}\nbundle z metric=none\nbundle a metric={second}\ntensor S rank=2 sym=1..2")
     # replaced in place: "a" keeps its position ahead of "z" in label order
-    assert reg.bundle_index("a1") == 0 and reg.bundle_of("a1").metric == second
+    assert reg.bundle_index("a1") == 0 and reg.bundles["a"].metric == second
     mono = parse("S_{a1}^{a2} S_{a2}^{a1}", reg)
     prob = build_problem(mono, reg)
     assert prob.classes[0].metric == second
@@ -174,13 +177,13 @@ def test_render_of_g_init_reprints_the_expression():
         for size in (2, 3, 4):
             for trial in range(3):
                 case = generate(family, size, trial)
-                got = render(case.problem.g_init, case.monomial, case.registry)
+                got = render(CanonResult.canonical(case.problem.g_init), case.monomial, case.registry)
                 assert got == case.expression, (family, size, trial)
     reg = Registry()
     reg.declare_all("bundle a metric=none\nbundle m metric=antisymmetric\ntensor T rank=5\ntensor U rank=3")
     expr = "T_{b a1 1}^{m1 a2} U^{1}_{m1}^{a1}"
     mono = parse(expr, reg)
-    assert render(build_problem(mono, reg).g_init, mono, reg) == expr
+    assert render(CanonResult.canonical(build_problem(mono, reg).g_init), mono, reg) == expr
 
 
 def test_worked_example_roundtrip():
@@ -305,11 +308,10 @@ def test_no_metric_bundle_outputs_are_fixed_points():
 
 def _one_schreier_sims(mono, reg):
     """The slot group from one Schreier-Sims over every factor's generators, shifted."""
-    n = len(mono.slots)
+    n = len(mono.tokens)
     gens = []
     offset = 0
-    for f in mono.factors:
-        decl = reg.tensors[f.tensor]
+    for decl in mono.decls:
         for g in decl.gens:
             images = list(range(1, n + 3))
             images[offset : offset + decl.rank] = [x + offset for x in g.images[: decl.rank]]
