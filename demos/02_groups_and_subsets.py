@@ -16,7 +16,7 @@ gens = [
 ]
 bsgs = schreier_sims(4, gens)
 print("Riemann slot group order:", bsgs.group_order)
-print("base:", bsgs.base)
+print(f"base: the complete base 1..{bsgs.degree}, sign pair included")
 for level in range(1, 5):
     print(f"  orbit of slot {level} at level {level}:", sorted(bsgs.orbit_of(level)))
 

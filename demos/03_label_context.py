@@ -19,8 +19,8 @@ ctx = build([
     IndexClass("dummy", 4, metric="symmetric"),
 ])
 print("labels: a b g h  c1 c2 d1 d2 e1 e2 f1 f2")
-print("values:", ctx.values_list())
-print("groups:", [g.name for g in ctx.groups_list()])
+print("values:", ctx.values[1:])
+print("groups:", [g.name for g in ctx.groups[1:]])
 
 # all 8 dummy legs share value 5: any leg can become the least label.
 # label 10 (e2) reaches label 5 (c1) by crossing through the metric:
@@ -31,10 +31,10 @@ print("partner of e2:", ctx.partner[10], " partner of c1:", ctx.partner[5])
 # consuming c1 freezes it, promotes its partner, and bumps the rest
 ctx2 = update_context(ctx, 5)
 print("after consuming c1:")
-print("values:", ctx2.values_list())
-print("groups:", [g.name for g in ctx2.groups_list()])
+print("values:", ctx2.values[1:])
+print("groups:", [g.name for g in ctx2.groups[1:]])
 
 # without a metric, lower and upper legs form separate exchange groups
 nom = build([IndexClass("free", 4), IndexClass("dummy", 4, metric="none")])
-print("no-metric values:", nom.values_list())
-print("no-metric groups:", [g.name for g in nom.groups_list()])
+print("no-metric values:", nom.values[1:])
+print("no-metric groups:", [g.name for g in nom.groups[1:]])

@@ -6,6 +6,7 @@ independent ground truth for both search engines.
 """
 
 from tensorcanon.bench import generate, oracle_result, run_case
+from tensorcanon.frontend import render
 
 checked = 0
 for family in ("riemann", "nosym-dummies", "pairwise-frustrated"):
@@ -19,7 +20,7 @@ for family in ("riemann", "nosym-dummies", "pairwise-frustrated"):
             _, base = run_case(case, "baseline")
             assert fast == expected and base == expected, case.expression
             checked += 1
-            tag = "zero" if expected.is_zero else str(expected.g)
+            tag = render(expected, case.monomial, case.registry)
             print(f"{family:20s} n={case.problem.n:2d} trial={trial} -> {tag}")
 
 print(f"\n{checked} cases, all three results identical")

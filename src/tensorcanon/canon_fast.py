@@ -168,6 +168,12 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
     exchanged (group code other than NONE) in a nonzero family; the
     dummy-pair rule fires at the later of the two legs, as a scan in
     slot order would find it.
+
+    Where ``g_init`` itself holds the first or the third rule's labels in
+    one detected subset, :func:`zero_before_search` decides the zero
+    before the first pass, so here those rules fire only on what the
+    passes reveal: families recorded on later configurations, and even
+    families carried across subsets.
     """
     groups = ctx.groups
     # the propagated family of each slot, slot p at index p-1
@@ -193,6 +199,45 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
         q = g.index(ctx.partner[label]) + 1
         if q < p and syms[q - 1] == sym:
             return True
+    return False
+
+
+def zero_before_search(g, ctx, subsets):
+    """True when one detected subset of ``g`` already proves it zero.
+
+    ``g`` is the label at each slot, slot p at index p-1, and ``ctx``
+    the context it is read against.  The sweep fires on a subset Y
+    holding both legs of a dummy pair whose leg swap carries the sign
+    opposite Y's (a symmetric-metric pair in an antisymmetric Y, an
+    antisymmetric-metric pair in a symmetric one), or two labels of one
+    component class (equal value) when Y is antisymmetric.  A layout
+    with no antisymmetric subset and no antisymmetric-metric pair has
+    nothing to fire on, and is passed over in two C-level scans.
+    """
+    groups = ctx.groups
+    if min(subsets) >= 0 and _A_DUMMY not in groups:
+        return False
+    values, partner = ctx.values, ctx.partner
+    # (subset, pair or class) met so far: a pair is keyed by the sum of
+    # its legs, which no other pair shares, and a component class by its
+    # value negated
+    seen = set()
+    for label, sub in zip(g, subsets[1:]):
+        if sub < 0:
+            code = groups[label]
+            if code == _S_DUMMY:
+                key = (sub, label + partner[label])
+            elif code == _COMPONENT:
+                key = (sub, -values[label])
+            else:
+                continue
+        elif sub > 0 and groups[label] == _A_DUMMY:
+            key = (sub, label + partner[label])
+        else:
+            continue
+        if key in seen:
+            return True
+        seen.add(key)
     return False
 
 
@@ -302,6 +347,21 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     at once, and ``subsets`` is not read.  ``trace``, if given, is a dict
     that receives ``configs_per_slot`` (configuration counts after each
     slot pass) and ``max_configs``.
+
+    The result is also zero at once, with ``configs_per_slot`` empty,
+    when :func:`zero_before_search` finds two slots p and q of one
+    detected subset Y holding either both legs of a dummy pair whose leg
+    swap carries the sign opposite Y's, or two labels of one component
+    class while Y is antisymmetric.  The transposition τ = (p q) lies in
+    S with Y's sign, and the label element μ exchanging the two labels
+    carries the other sign: +1 for two equal numerals and for a
+    symmetric-metric pair's leg swap, -1 for an antisymmetric-metric
+    pair's.  μ∘g_init∘τ has the labels of g_init at every slot and the
+    opposite sign, so it is -g_init, the double coset holds ±g_init, and
+    the canonical form is 0.  These are the facts the first and third
+    rules of :func:`zero_due_to_propagated_symmetries` establish once a
+    pass reaches them.  A pair without a metric never fires, since its
+    legs cannot be swapped.
 
     Work that repeats across configurations, passes and monomials is
     done once.  ``ctx`` is shared by every monomial of its class layout
@@ -431,7 +491,7 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
             trace["max_configs"] = max(counts, default=1)
         return result
 
-    if S.has_minus_one:
+    if S.has_minus_one or zero_before_search(g_init.images, ctx, subsets):
         return finish(CanonResult.zero(), [])
     prop = [0] * (n + 1)
     next_odd = itertools.count(1, 2).__next__

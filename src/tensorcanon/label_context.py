@@ -100,14 +100,8 @@ class LabelContext:
         self.children = {}
         self.tables = {} if tables is None else tables
 
-    def values_list(self):
-        return list(self.values[1:])
-
-    def groups_list(self):
-        return [GroupCode(g) for g in self.groups[1:]]
-
     def __repr__(self):
-        return f"LabelContext(values={self.values_list()}, groups={[g.name for g in self.groups_list()]})"
+        return f"LabelContext(values={self.values[1:]}, groups={[GroupCode(g).name for g in self.groups[1:]]})"
 
 
 def build(classes):

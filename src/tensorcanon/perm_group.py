@@ -124,10 +124,6 @@ class Bsgs:
         self._trees = trees  # 1-based: trees[i], rooted at point i
         self.has_minus_one = len(trees[n + 1]) == 2
 
-    @property
-    def base(self):
-        return list(range(1, self.degree + 1))
-
     def generators(self, level=1):
         """Strong generators fixing the points 1..level-1 pointwise.
 

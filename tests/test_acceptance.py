@@ -25,7 +25,9 @@ from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
 from tensorcanon.frontend import Registry, parse, build_problem, render
 from tensorcanon.label_context import GroupCode, IndexClass, build, update_context
 from tensorcanon.perm_group import schreier_sims, detect_symmetric_subsets
-from tensorcanon.signed_perm import compose, from_signed_cycles, identity, parse_array
+from tensorcanon.signed_perm import compose, from_signed_cycles, identity
+
+from perm_text import parse_array
 
 
 def canon_both(decls, expr):
@@ -82,16 +84,16 @@ def test_golden_label_context_arrays():
         IndexClass("component", 2),
         IndexClass("dummy", 1, metric="symmetric"),
     ])
-    assert ctx.values_list() == [1, 2, 3, 3, 5, 5]
-    assert ctx.groups_list() == [F, F, C, C, S, S]
+    assert ctx.values[1:] == [1, 2, 3, 3, 5, 5]
+    assert ctx.groups[1:] == [F, F, C, C, S, S]
     # four frees and four metric pairs
     ctx = build([IndexClass("free", 4), IndexClass("dummy", 4, metric="symmetric")])
-    assert ctx.values_list() == [1, 2, 3, 4] + [5] * 8
-    assert ctx.groups_list() == [F] * 4 + [S] * 8
+    assert ctx.values[1:] == [1, 2, 3, 4] + [5] * 8
+    assert ctx.groups[1:] == [F] * 4 + [S] * 8
     # the same labels without a metric: legs split into lower/upper groups
     ctx = build([IndexClass("free", 4), IndexClass("dummy", 4, metric="none")])
-    assert ctx.values_list() == [1, 2, 3, 4, 5, 6, 5, 6, 5, 6, 5, 6]
-    assert ctx.groups_list() == [F] * 4 + [L, U, L, U, L, U, L, U]
+    assert ctx.values[1:] == [1, 2, 3, 4, 5, 6, 5, 6, 5, 6, 5, 6]
+    assert ctx.groups[1:] == [F] * 4 + [L, U, L, U, L, U, L, U]
 
 
 def test_golden_symmetric_subsets_arrays():

@@ -8,7 +8,9 @@ from tensorcanon.frontend import Registry, parse, build_problem, render
 from tensorcanon.label_context import IndexClass
 from tensorcanon.oracle import enumerate_label_group
 from tensorcanon.perm_group import SchreierTree
-from tensorcanon.signed_perm import compose, from_signed_cycles, parse_array
+from tensorcanon.signed_perm import compose, from_signed_cycles
+
+from perm_text import parse_array
 
 
 def make_problem(decls, expr):

@@ -13,7 +13,9 @@ from tensorcanon.frontend import (
 )
 from tensorcanon.label_context import GroupCode
 from tensorcanon.perm_group import SchreierTree, detect_symmetric_subsets, schreier_sims
-from tensorcanon.signed_perm import CanonResult, SignedPermutation, format_cycles, inverse, parse_array
+from tensorcanon.signed_perm import CanonResult, SignedPermutation, inverse
+
+from perm_text import format_cycles, parse_array
 
 
 def canon_text(decls, expr):
@@ -128,9 +130,9 @@ def test_label_order_frees_components_dummies():
     # x dummy pair
     assert [text for text, _own, _pair in mono.label_info[1:]] == ["a", "b", "1", "1", "x", "x"]
     assert [(c.kind, c.size) for c in prob.classes] == [("free", 2), ("component", 2), ("dummy", 1)]
-    assert prob.ctx.groups_list()[:2] == [GroupCode.NONE, GroupCode.NONE]
-    assert prob.ctx.groups_list()[2:4] == [GroupCode.COMPONENT, GroupCode.COMPONENT]
-    assert prob.ctx.groups_list()[4:] == [GroupCode.S_DUMMY, GroupCode.S_DUMMY]
+    assert prob.ctx.groups[1:3] == [GroupCode.NONE, GroupCode.NONE]
+    assert prob.ctx.groups[3:5] == [GroupCode.COMPONENT, GroupCode.COMPONENT]
+    assert prob.ctx.groups[5:] == [GroupCode.S_DUMMY, GroupCode.S_DUMMY]
 
 
 def test_bundle_prefix_matching():

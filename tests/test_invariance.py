@@ -15,6 +15,9 @@ the benchmark families never use.
   narrowed label contexts, against plain references written here.
 * Passes with no label left to exchange, which skip the propagation
   update and the zero check: forcing both in changes nothing.
+* The zero sweep before the first pass fires where a plain reference
+  does, the full search finds each zero it finds, and turning it off
+  changes no output.
 * One Registry shared by the mixed monomials gives the outputs of a
   fresh Registry per monomial.
 * The baseline's filtered label generators: at every pass they reach
@@ -405,6 +408,45 @@ def test_frozen_passes_skip_only_no_ops(monkeypatch):
     monkeypatch.setattr(canon_fast, "zero_due_to_propagated_symmetries", forced_zero)
     assert run() == shipped
     assert frozen["updates"] > frozen["checks"] > 0, frozen
+
+
+def reference_zero_before_search(prob):
+    """The sweep's two cases over every pair of slots of one subset: the
+    group code of the first pair of labels that fires, or None."""
+    g, ctx, subsets = prob.g_init.images, prob.ctx, prob.subsets
+    for p in range(1, prob.n + 1):
+        for q in range(p + 1, prob.n + 1):
+            if subsets[p] == 0 or subsets[q] != subsets[p]:
+                continue
+            a, b = g[p - 1], g[q - 1]
+            code = ctx.groups[a]
+            antisymmetric = subsets[p] < 0
+            if ctx.partner[a] == b and (code, antisymmetric) in ((GroupCode.S_DUMMY, True), (GroupCode.A_DUMMY, False)):
+                return code
+            if code == ctx.groups[b] == GroupCode.COMPONENT and ctx.values[a] == ctx.values[b] and antisymmetric:
+                return code
+    return None
+
+
+def test_zero_before_search_agrees_with_the_search(monkeypatch):
+    """The sweep before the first pass fires exactly where the plain
+    reference does; wherever it fires the full search, with the sweep
+    turned off, gives zero too; and turning it off changes no output."""
+    problems = list(small_bench_problems())
+    for rng, prob, _context in mixed_bundle_problems():
+        problems.append(prob)
+        problems += [dataclasses.replace(prob, g_init=compose(l, compose(prob.g_init, s))) for l, s in random_moves(prob, rng, 3)]
+    problems = [prob for prob in problems if not prob.S.has_minus_one]
+    codes = [reference_zero_before_search(prob) for prob in problems]
+    for prob, code in zip(problems, codes):
+        assert canon_fast.zero_before_search(prob.g_init.images, prob.ctx, prob.subsets) == (code is not None)
+    shipped = [prob.canonicalize() for prob in problems]
+    monkeypatch.setattr(canon_fast, "zero_before_search", lambda g, ctx, subsets: False)
+    searched = [prob.canonicalize() for prob in problems]
+    assert searched == shipped
+    assert all(result.is_zero for result, code in zip(searched, codes) if code is not None)
+    fired = Counter(codes)
+    assert min(fired[code] for code in (GroupCode.COMPONENT, GroupCode.S_DUMMY, GroupCode.A_DUMMY)) > 0, fired
 
 
 def reference_least_values(i, orbit, configs, ctx, prop):

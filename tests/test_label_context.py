@@ -29,8 +29,8 @@ def test_component_plus_dummy_context():
         IndexClass("component", 2),
         IndexClass("dummy", 1, metric="symmetric"),
     ])
-    assert ctx.values_list() == [1, 2, 3, 3, 5, 5]
-    assert ctx.groups_list() == [F, F, C, C, S, S]
+    assert ctx.values[1:] == [1, 2, 3, 3, 5, 5]
+    assert ctx.groups[1:] == [F, F, C, C, S, S]
 
 
 def test_metric_contraction_context():
@@ -39,8 +39,8 @@ def test_metric_contraction_context():
         IndexClass("free", 4),
         IndexClass("dummy", 4, metric="symmetric"),
     ])
-    assert ctx.values_list() == [1, 2, 3, 4] + [5] * 8
-    assert ctx.groups_list() == [F] * 4 + [S] * 8
+    assert ctx.values[1:] == [1, 2, 3, 4] + [5] * 8
+    assert ctx.groups[1:] == [F] * 4 + [S] * 8
 
 
 def test_no_metric_contraction_context():
@@ -49,8 +49,8 @@ def test_no_metric_contraction_context():
         IndexClass("free", 4),
         IndexClass("dummy", 4, metric="none"),
     ])
-    assert ctx.values_list() == [1, 2, 3, 4, 5, 6, 5, 6, 5, 6, 5, 6]
-    assert ctx.groups_list() == [F] * 4 + [L, U, L, U, L, U, L, U]
+    assert ctx.values[1:] == [1, 2, 3, 4, 5, 6, 5, 6, 5, 6, 5, 6]
+    assert ctx.groups[1:] == [F] * 4 + [L, U, L, U, L, U, L, U]
 
 
 def test_update_after_consuming_dummy_leg():
@@ -60,19 +60,19 @@ def test_update_after_consuming_dummy_leg():
         IndexClass("dummy", 4, metric="symmetric"),
     ])
     new = update_context(ctx, 5)
-    assert new.values_list() == [1, 2, 3, 4, 5, 6] + [7] * 6
-    assert new.groups_list() == [F] * 6 + [S] * 6
+    assert new.values[1:] == [1, 2, 3, 4, 5, 6] + [7] * 6
+    assert new.groups[1:] == [F] * 6 + [S] * 6
     # the original context is untouched
-    assert ctx.values_list() == [1, 2, 3, 4] + [5] * 8
+    assert ctx.values[1:] == [1, 2, 3, 4] + [5] * 8
 
 
 def test_update_component():
     ctx = build([IndexClass("component", 4)])
     new = update_context(ctx, 1)
-    assert new.values_list() == [1, 2, 2, 2]
-    assert new.groups_list() == [F, C, C, C]
+    assert new.values[1:] == [1, 2, 2, 2]
+    assert new.groups[1:] == [F, C, C, C]
     new2 = update_context(new, 2)
-    assert new2.values_list() == [1, 2, 3, 3]
+    assert new2.values[1:] == [1, 2, 3, 3]
 
 
 def test_update_no_metric():
@@ -80,8 +80,8 @@ def test_update_no_metric():
     # value 7, uppers to 8
     ctx = build([IndexClass("free", 4), IndexClass("dummy", 3, metric="none")])
     new = update_context(ctx, 5)
-    assert new.values_list() == [1, 2, 3, 4, 5, 6, 7, 8, 7, 8]
-    assert new.groups_list() == [F] * 6 + [L, U, L, U]
+    assert new.values[1:] == [1, 2, 3, 4, 5, 6, 7, 8, 7, 8]
+    assert new.groups[1:] == [F] * 6 + [L, U, L, U]
 
 
 def test_narrowing_twice_copies_values_and_groups():
@@ -90,19 +90,19 @@ def test_narrowing_twice_copies_values_and_groups():
     ctx = build([IndexClass("component", 2), IndexClass("dummy", 2, metric="symmetric")])
     first = update_context(ctx, 1)
     left, right = update_context(first, 2), update_context(first, 3)
-    assert ctx.values_list() == [1, 1, 3, 3, 3, 3]
-    assert ctx.groups_list() == [C, C, S, S, S, S]
-    assert first.values_list() == [1, 2, 3, 3, 3, 3]
-    assert first.groups_list() == [F, C, S, S, S, S]
-    assert left.values_list() == [1, 2, 3, 3, 3, 3]
-    assert left.groups_list() == [F, F, S, S, S, S]
-    assert right.values_list() == [1, 2, 3, 4, 5, 5]
-    assert right.groups_list() == [F, C, F, F, S, S]
+    assert ctx.values[1:] == [1, 1, 3, 3, 3, 3]
+    assert ctx.groups[1:] == [C, C, S, S, S, S]
+    assert first.values[1:] == [1, 2, 3, 3, 3, 3]
+    assert first.groups[1:] == [F, C, S, S, S, S]
+    assert left.values[1:] == [1, 2, 3, 3, 3, 3]
+    assert left.groups[1:] == [F, F, S, S, S, S]
+    assert right.values[1:] == [1, 2, 3, 4, 5, 5]
+    assert right.groups[1:] == [F, C, F, F, S, S]
     contexts = (ctx, first, left, right)
     assert len({id(c.values) for c in contexts}) == len({id(c.groups) for c in contexts}) == 4
     left.values[2] = left.groups[2] = 0
-    assert right.values_list()[1] == first.values_list()[1] == 2
-    assert right.groups_list()[1] == first.groups_list()[1] == C
+    assert right.values[2] == first.values[2] == 2
+    assert right.groups[2] == first.groups[2] == C
 
 
 def test_update_of_a_frozen_least_value_returns_the_context():
@@ -112,7 +112,7 @@ def test_update_of_a_frozen_least_value_returns_the_context():
     # a consumed label and its partner are frozen
     assert update_context(narrowed, 5) is narrowed
     assert update_context(narrowed, 6) is narrowed
-    assert narrowed.values_list() == [1, 2, 3, 3, 5, 6, 7, 7]
+    assert narrowed.values[1:] == [1, 2, 3, 3, 5, 6, 7, 7]
 
 
 def test_narrowed_contexts_are_kept_and_share_the_layout_tables():

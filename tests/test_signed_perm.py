@@ -8,10 +8,9 @@ from tensorcanon.signed_perm import (
     compose,
     inverse,
     parse_cycles,
-    format_cycles,
-    parse_array,
-    format_array,
 )
+
+from perm_text import format_array, format_cycles, parse_array
 
 
 def test_identity():
