@@ -130,15 +130,9 @@ def butler_portugal(g_init, S, L, trace=None):
             ell = tree.rep(global_least)
             s = S.coset_rep(i, j)
             out.append(compose(ell, compose(g, s)))
-        out.sort(key=lambda g: g.images)
-        configs = []
-        for g in out:
-            if configs and configs[-1] == g:
-                continue
-            configs.append(g)
+        configs = sorted(set(out))
+        counts.append(len(configs))
         for a, b in zip(configs, configs[1:]):
             if a.images[:n] == b.images[:n] and a.sign != b.sign:
-                counts.append(len(configs))
                 return finish(CanonResult.zero(), counts)
-        counts.append(len(configs))
     return finish(CanonResult.canonical(configs[0]), counts)

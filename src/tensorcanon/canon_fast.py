@@ -3,20 +3,20 @@
 The engine fixes one slot per pass, left to right.  A configuration is
 a point g of the double coset L·g_init·S, the current signed
 slot->label assignment, carried with the slot permutation s that
-reached it from the initial assignment.  Both are kept as ``bytes`` in
-the array form of :mod:`~tensorcanon.signed_perm` (length n+2, sign
-pair last), which the helpers below index and iterate directly; only
-the result is wrapped back into a signed permutation.  A label
-permutation is applied to every slot at once by ``bytes.translate``
-with its :func:`_table`, and configurations sort by memcmp, which is
-the order of their image tuples.  A byte holds labels up to 255, so
-the engine takes at most ``MAX_SLOTS`` = 253 slots (the sign pair takes
-the two values above them).  Each pass keeps one configuration per
-signed g, the one with the least s (see :func:`canonicalize` for why
-that loses no result).  For each slot the engine finds every way of
-bringing the least reachable label into that slot, but prunes branches
-that are forced equal (or equal up to sign) to a kept branch by slot
-symmetries discovered along the way.
+reached it from the initial assignment.  Both are kept as the bare
+``images`` of a :class:`~tensorcanon.signed_perm.SignedPermutation`
+(n+2 bytes, sign pair last), which the helpers below index and iterate
+directly; only the result is wrapped back into a signed permutation.  A
+label permutation is applied to every slot at once by
+``bytes.translate`` through its
+:attr:`~tensorcanon.signed_perm.SignedPermutation.table`, and
+configurations sort by memcmp, the order of signed permutations, so the
+engine takes at most ``signed_perm.MAX_SLOTS`` = 253 slots.  Each pass
+keeps one configuration per signed g, the one with the least s (see
+:func:`canonicalize` for why that loses no result).  For each slot the
+engine finds every way of bringing the least reachable label into that
+slot, but prunes branches that are forced equal (or equal up to sign)
+to a kept branch by slot symmetries discovered along the way.
 
 Propagated symmetries are recorded per *initial* slot (indexed through
 s) in an array ``prop``: labels known to be mutually exchangeable share
@@ -33,7 +33,7 @@ import itertools
 from operator import itemgetter
 
 from .label_context import GroupCode, update_context, label_permutation_from_group
-from .signed_perm import CanonResult, SignedPermutation, compose  # noqa: F401 (perfbench/tracing.py counts canon_fast.compose calls)
+from .signed_perm import CanonResult, SignedPermutation, compose, identity  # noqa: F401 (perfbench/tracing.py counts canon_fast.compose calls)
 
 
 def _sign(x):
@@ -169,11 +169,27 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
     dummy-pair rule fires at the later of the two legs, as a scan in
     slot order would find it.
 
-    Where ``g_init`` itself holds the first or the third rule's labels in
-    one detected subset, :func:`zero_before_search` decides the zero
-    before the first pass, so here those rules fire only on what the
-    passes reveal: families recorded on later configurations, and even
-    families carried across subsets.
+    The first and the third rule never fire once :func:`zero_before_search`
+    has passed ``g_init``; they stay so that the search proves every zero
+    on its own, which is how the sweep is checked against it (with the
+    sweep off and without them, ``A_{a}^{a}`` and ``A_{1 1}`` under
+    ``asym=1..2`` come out nonzero).  The sweep's condition holds on every
+    point ±l∘h∘s of a double coset alike: s ∈ S maps each detected subset
+    onto one of the same sign, and l keeps classes, pairs and metrics.
+    Every configuration is such a point of ``g_init``, an exchange child
+    (p != q) too, whose swap is a label element after a transposition in
+    S (see :func:`canonicalize`).  And the condition holds on g wherever
+    either rule fires.  Slot p holds a label of the class ``g_init``
+    holds at s[p], as label elements and exchanges keep classes.  An odd
+    family was written at s'(Q), two slots or more, for slots Q holding
+    labels of one class in one detected subset Y' of some (g', s'), with
+    Y''s sign; so g holds it at slots of the detected subset
+    s⁻¹(s'(Y')), with labels of that class: for the first rule two
+    component labels in an antisymmetric subset, for the third both
+    legs.  An even family
+    licenses exchanging the labels at its slots by transposing their
+    partners' slots inside one subset of its sign, and two legs of one
+    pair are each other's partners.
     """
     groups = ctx.groups
     # the propagated family of each slot, slot p at index p-1
@@ -206,13 +222,16 @@ def zero_before_search(g, ctx, subsets):
     """True when one detected subset of ``g`` already proves it zero.
 
     ``g`` is the label at each slot, slot p at index p-1, and ``ctx``
-    the context it is read against.  The sweep fires on a subset Y
-    holding both legs of a dummy pair whose leg swap carries the sign
-    opposite Y's (a symmetric-metric pair in an antisymmetric Y, an
-    antisymmetric-metric pair in a symmetric one), or two labels of one
-    component class (equal value) when Y is antisymmetric.  A layout
-    with no antisymmetric subset and no antisymmetric-metric pair has
-    nothing to fire on, and is passed over in two C-level scans.
+    the context it is read against.  The sweep fires when two slots p
+    and q of one detected subset Y hold labels that a label element μ
+    exchanges with the sign opposite Y's: both legs of a dummy pair (a
+    symmetric-metric pair in an antisymmetric Y, an antisymmetric-metric
+    pair in a symmetric one; a pair without a metric has no leg swap),
+    or two labels of one component class (equal value) when Y is
+    antisymmetric.  The transposition τ = (p q) lies in S with Y's sign,
+    so μ∘g∘τ = -g, the double coset holds ±g, and the canonical form is
+    0.  A layout with no antisymmetric subset and no antisymmetric-metric
+    pair has nothing to fire on, and is passed over in two C-level scans.
     """
     groups = ctx.groups
     if min(subsets) >= 0 and _A_DUMMY not in groups:
@@ -241,15 +260,6 @@ def zero_before_search(g, ctx, subsets):
     return False
 
 
-MAX_SLOTS = 253
-_IDENTITY_TABLE = bytes(range(256))
-
-
-def _table(perm):
-    """The ``bytes.translate`` table of ``perm``: ``g.translate(_table(perm))`` is perm∘g."""
-    return bytes((0,) + perm.images) + _IDENTITY_TABLE[len(perm.images) + 1:]
-
-
 def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx, subsets, prop):
     """Extend ``out`` with the slot-i descendants of configuration (g, s).
 
@@ -270,14 +280,13 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     share one of those (see :func:`canonicalize`).
 
     ltilde moves the supplied label to ``least_value``.  Its table is
-    read from ``ctx.tables``, the layout's dict, and built there from
-    ``label_permutation_from_group(ctx, label, least_value)`` on first
-    use; a label that already is ``least_value`` needs none.  An
-    exchange child (p != q) folds in the swap of the two labels, signed
-    by their family: two entries of the table, and the sign pair when
-    the family is negative.  ``S.tree(i).moves(p)`` gives the points
-    slot i's coset representative for p moves; the tree keeps them from
-    their first use.
+    read from ``ctx.tables``, the layout's dict, and put there on first
+    use as ``label_permutation_from_group(ctx, label, least_value).table``.
+    An exchange child (p != q) folds in the swap of the two labels,
+    signed by their family: two entries of the table, and the sign pair
+    when the family is negative.  ``S.tree(i).moves(p)`` gives the
+    points slot i's coset representative for p moves; the tree keeps
+    them from their first use.
 
     Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked)``:
     g is translated through ltilde's table, then the result and a copy
@@ -307,23 +316,23 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
             if key in visited:
                 continue
             visited.add(key)
-        if label == least_value:
-            table = _IDENTITY_TABLE
+        if label == least_value and p == q:
+            relabelled = g
         else:
             table = tables.get((label, least_value))
             if table is None:
-                table = tables[label, least_value] = _table(label_permutation_from_group(ctx, label, least_value))
-        if p != q:
-            # q supplies the label through an exchange with slot p; fold
-            # the (possibly signed) label swap in before relabelling
-            other = g[p - 1]
-            swapped = bytearray(table)
-            swapped[label], swapped[other] = table[other], table[label]
-            if prop[s[q - 1]] < 0:
-                swapped[n + 1], swapped[n + 2] = table[n + 2], table[n + 1]
-            table = swapped
+                table = tables[label, least_value] = label_permutation_from_group(ctx, label, least_value).table
+            if p != q:
+                # q supplies the label through an exchange with slot p; fold
+                # the (possibly signed) label swap in before relabelling
+                other = g[p - 1]
+                swapped = bytearray(table)
+                swapped[label], swapped[other] = table[other], table[label]
+                if prop[s[q - 1]] < 0:
+                    swapped[n + 1], swapped[n + 2] = table[n + 2], table[n + 1]
+                table = swapped
+            relabelled = g.translate(table)
         slots = moves(p)
-        relabelled = g if table is _IDENTITY_TABLE else g.translate(table)
         if slots:
             child, child_s = bytearray(relabelled), bytearray(s)
             for x, y in slots:
@@ -349,19 +358,7 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     slot pass) and ``max_configs``.
 
     The result is also zero at once, with ``configs_per_slot`` empty,
-    when :func:`zero_before_search` finds two slots p and q of one
-    detected subset Y holding either both legs of a dummy pair whose leg
-    swap carries the sign opposite Y's, or two labels of one component
-    class while Y is antisymmetric.  The transposition τ = (p q) lies in
-    S with Y's sign, and the label element μ exchanging the two labels
-    carries the other sign: +1 for two equal numerals and for a
-    symmetric-metric pair's leg swap, -1 for an antisymmetric-metric
-    pair's.  μ∘g_init∘τ has the labels of g_init at every slot and the
-    opposite sign, so it is -g_init, the double coset holds ±g_init, and
-    the canonical form is 0.  These are the facts the first and third
-    rules of :func:`zero_due_to_propagated_symmetries` establish once a
-    pass reaches them.  A pair without a metric never fires, since its
-    legs cannot be swapped.
+    when :func:`zero_before_search` proves ``g_init`` zero.
 
     Work that repeats across configurations, passes and monomials is
     done once.  ``ctx`` is shared by every monomial of its class layout
@@ -495,7 +492,7 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
         return finish(CanonResult.zero(), [])
     prop = [0] * (n + 1)
     next_odd = itertools.count(1, 2).__next__
-    configs = [(bytes(g_init.images), bytes(range(1, n + 3)), None)]
+    configs = [(g_init.images, identity(n).images, None)]
     counts = []
     for i in range(1, n + 1):
         orbit = S.orbit_of(i)

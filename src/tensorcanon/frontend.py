@@ -14,7 +14,7 @@ transpositions on that slot range.  ``gens``, ``sym`` and ``asym`` may be
 repeated; ``rank`` and ``metric`` may not.  A tensor NAME is an ASCII
 letter followed by letters and digits, and a bundle NAME is letters and
 digits; any other name is refused at declaration, since no expression
-could use it, and so is a rank over ``canon_fast.MAX_SLOTS`` (see
+could use it, and so is a rank over ``signed_perm.MAX_SLOTS`` (see
 Expressions).  A bundle is matched by name prefix on index tokens
 (longest declared prefix wins); undeclared tokens fall into an implicit
 symmetric-metric bundle.
@@ -31,9 +31,9 @@ An all-digit token is a component label, written without leading zeros
 (``01`` is refused, so each numeral has one spelling); other tokens are
 index names.  Every non-component name must appear exactly once (free)
 or exactly twice, once lower and once upper (dummy).  A monomial has
-at most 253 slots (``canon_fast.MAX_SLOTS``: the fast engine keeps a
-configuration's n slots and its sign pair as bytes); :func:`parse`
-refuses a longer one.
+at most 253 slots (``signed_perm.MAX_SLOTS``: a signed permutation
+keeps its n images and its sign pair as bytes); :func:`parse` refuses
+a longer one.
 
 Label order
 -----------
@@ -105,10 +105,10 @@ from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import itemgetter
 
-from .canon_fast import MAX_SLOTS, canonicalize
+from .canon_fast import canonicalize
 from .label_context import IndexClass, build as build_context
 from .perm_group import direct_product, product_subsets, schreier_sims, detect_symmetric_subsets
-from .signed_perm import SignedPermutation, from_signed_cycles, parse_cycles
+from .signed_perm import MAX_SLOTS, SignedPermutation, from_signed_cycles, parse_cycles
 
 
 class FrontendError(ValueError):

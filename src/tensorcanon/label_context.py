@@ -77,10 +77,10 @@ class LabelContext:
 
     ``children`` maps a least value to the context :func:`update_context`
     narrowed this one to.  ``tables`` is one dict for the whole layout:
-    it maps ``(label, least_value)`` to the ``bytes.translate`` table of
-    ``label_permutation_from_group(ctx, label, least_value)``, which is
-    the same for every context of the layout in which ``label`` still
-    has ``least_value``.  A label other than its least value is still
+    it maps ``(label, least_value)`` to the translation table
+    ``label_permutation_from_group(ctx, label, least_value).table``,
+    which is the same for every context of the layout in which ``label``
+    still has ``least_value``.  A label other than its least value is still
     unconsumed, so it keeps the group code the layout gave it, and the
     pair table never changes.
 

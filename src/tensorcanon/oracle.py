@@ -10,6 +10,7 @@ with both signs.  Only usable when |S|·|L| is small.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -17,11 +18,12 @@ from .signed_perm import CanonResult, SignedPermutation, identity, compose
 
 
 class GroupEnumeration:
-    """All elements of a group, with a matrix view of the image arrays."""
+    """All elements of a group, with a matrix view of the image arrays, one row per element."""
 
     def __init__(self, elements):
         self.elements = list(elements)
-        self.array = np.array([e.images for e in self.elements], dtype=np.int64)
+        images = b"".join(e.images for e in self.elements)
+        self.array = np.frombuffer(images, dtype=np.uint8).reshape(len(self.elements), -1)
 
     def __len__(self):
         return len(self.elements)
@@ -60,21 +62,14 @@ def enumerate_label_group(classes, n, cap=10**6):
             label += c.size
             continue
         if c.kind == "component":
-            labels = list(range(label, label + c.size))
-            opts = []
-            for perm in itertools.permutations(labels):
-                opts.append(({a: b for a, b in zip(labels, perm)}, 1))
-            factors.append(opts)
+            labels = range(label, label + c.size)
+            factors.append([(dict(zip(labels, perm)), 1) for perm in itertools.permutations(labels)])
             label += c.size
         elif c.kind == "dummy":
             pairs = [(label + 2 * k, label + 2 * k + 1) for k in range(c.size)]
             opts = []
-            flip_space = (
-                itertools.product([0, 1], repeat=c.size)
-                if c.metric in ("symmetric", "antisymmetric")
-                else [(0,) * c.size]
-            )
-            flip_space = list(flip_space)
+            metric = c.metric in ("symmetric", "antisymmetric")
+            flip_space = list(itertools.product([0, 1], repeat=c.size)) if metric else [(0,) * c.size]
             for perm in itertools.permutations(range(c.size)):
                 for flips in flip_space:
                     mapping = {}
@@ -94,14 +89,12 @@ def enumerate_label_group(classes, n, cap=10**6):
         else:
             raise ValueError(f"unknown class kind {c.kind!r}")
 
-    total = 1
-    for opts in factors:
-        total *= len(opts)
+    total = math.prod(map(len, factors))
     if total > cap:
         raise ValueError(f"label group order {total} exceeds cap {cap}")
 
     elems = []
-    for combo in itertools.product(*factors) if factors else [()]:
+    for combo in itertools.product(*factors):
         imgs = list(range(1, n + 3))
         sign = 1
         for mapping, s in combo:
@@ -124,8 +117,7 @@ def brute_force_canonicalize(g, S_enum, L_enum):
     best = None
     best_signs = set()
     for s in S_enum:
-        h = compose(g, s)
-        cols = [x - 1 for x in h.images]
+        cols = np.frombuffer(compose(g, s).images, dtype=np.uint8) - 1
         if best is not None and min_img[cols[0]] > best[0]:
             continue
         A = L_arr[:, cols]
@@ -142,15 +134,14 @@ def brute_force_canonicalize(g, S_enum, L_enum):
             sel = sel[vals == mn]
         if sel is None:
             continue
-        cand = tuple(int(v) for v in A[sel[0], :n])
-        signs = {1 if int(v) == n + 1 else -1 for v in A[sel, n]}
-        if best is None or cand < tuple(best):
-            best = list(cand)
+        cand = A[sel[0], :n].tobytes()
+        signs = {1 if v == n + 1 else -1 for v in A[sel, n].tolist()}
+        if best is None or cand < best:
+            best = cand
             best_signs = set(signs)
-        elif cand == tuple(best):
+        elif cand == best:
             best_signs |= signs
     if len(best_signs) == 2:
         return CanonResult.zero()
-    sign = best_signs.pop()
-    tail = (n + 1, n + 2) if sign > 0 else (n + 2, n + 1)
-    return CanonResult.canonical(SignedPermutation(tuple(best) + tail))
+    g = SignedPermutation(best + identity(n).images[n:])
+    return CanonResult.canonical(g if best_signs.pop() > 0 else g.negated())

@@ -9,9 +9,13 @@ slots".
 Schreier trees are built breadth-first with generators tried in
 ascending index order, which makes coset representatives deterministic.
 Each tree builds a representative, its inverse and the points it moves
-the first time it is asked for and keeps them; the trees of a product
-shift the moved points their block's tree keeps, keep the shifted orbit
-and moved points themselves, and build representatives from those.
+the first time it is asked for and keeps them; a kept permutation keeps
+the ``bytes.translate`` table :attr:`SignedPermutation.table` builds on
+its first composition, so a generator or an inverse representative is
+composed through one table however often it is used.  The trees of a
+product shift the moved points their block's tree keeps, keep the
+shifted orbit and moved points themselves, and build representatives
+from those.
 Everything else is read off the chain: membership sifts through the
 trees (:func:`_sift`, shared with Schreier-Sims), whether -identity is
 a member (:attr:`Bsgs.has_minus_one`) from the sign level, and the
@@ -59,7 +63,7 @@ class SchreierTree:
             nxt = []
             for p in frontier:
                 for g in gens:
-                    t = g[p]
+                    t = g.images[p - 1]
                     if t not in edges:
                         edges[t] = (p, g)
                         orbit.append(t)
@@ -161,7 +165,7 @@ def _sift(trees, h, start):
     """``h`` stripped of coset representatives from level ``start`` on,
     up to the first level whose orbit misses the residue's base image."""
     for lvl in range(start, len(trees)):
-        t = h[lvl]
+        t = h.images[lvl - 1]
         if t == lvl:
             continue
         tree = trees[lvl]
@@ -274,7 +278,7 @@ class _ShiftedTree:
 
     def _patched(self, pairs):
         """The identity of degree n with x mapped to y for each (x, y) in ``pairs``."""
-        images = list(range(1, self._n + 3))
+        images = bytearray(identity(self._n).images)
         for x, y in pairs:
             images[x - 1] = y
         return SignedPermutation(images)

@@ -2,18 +2,21 @@
 
 A signed permutation of degree n acts on the points 1..n and carries an
 overall sign.  The sign is encoded with two extra points: a permutation
-is stored as a tuple ``images`` of length n+2 where ``images[i-1]`` is
+is stored as ``bytes`` ``images`` of length n+2 where ``images[i-1]`` is
 the image of point i (1-based values).  The last two points n+1, n+2 are
 the sign pair: they map to (n+1, n+2) for sign +1 and to (n+2, n+1) for
-sign -1, and are never mixed with the ordinary points.
+sign -1, and are never mixed with the ordinary points.  A byte holds
+values up to 255, so the degree is at most ``MAX_SLOTS`` = 253.
 
 With this encoding, negation of a permutation only touches the tail of
 the array, so +g and -g are adjacent when arrays are sorted
-lexicographically — which is how the canonicalization engines detect
-that a configuration is equal to minus itself (a zero tensor).
+lexicographically (``bytes`` compare by memcmp) — which is how the
+canonicalization engines detect that a configuration is equal to minus
+itself (a zero tensor).
 
 Composition is ``compose(a, b) = a∘b``: first apply b, then a, i.e.
-``compose(a, b)[i] = a[b[i]]``.
+``compose(a, b)[i] = a[b[i]]``, one ``bytes.translate`` of b's images
+through a's :attr:`SignedPermutation.table`, the one table builder.
 
 :class:`CanonResult`, what the engines and the oracle return, wraps the
 canonical permutation, or None for zero.
@@ -24,13 +27,27 @@ from __future__ import annotations
 import re
 
 
-class SignedPermutation:
-    """An immutable signed permutation in array form."""
+MAX_SLOTS = 253
+_IDENTITY = bytes(range(256))
 
-    __slots__ = ("images",)
+
+class SignedPermutation:
+    """An immutable signed permutation in array form, built from any iterable of ints."""
+
+    __slots__ = ("images", "_table")
 
     def __init__(self, images):
-        self.images = tuple(images)
+        self.images = bytes(images)
+        self._table = None
+
+    @property
+    def table(self):
+        """The ``bytes.translate`` table of this permutation, built on first use:
+        ``g.translate(p.table)`` is the images of p∘g."""
+        t = self._table
+        if t is None:
+            t = self._table = b"\0" + self.images + _IDENTITY[len(self.images) + 1 :]
+        return t
 
     @property
     def degree(self):
@@ -55,21 +72,16 @@ class SignedPermutation:
     def __lt__(self, other):
         return self.images < other.images
 
-    def __le__(self, other):
-        return self.images <= other.images
-
     def __repr__(self):
         return f"SignedPermutation({list(self.images)})"
 
     def is_identity(self):
-        return self.images == tuple(range(1, len(self.images) + 1))
+        return self.images == _IDENTITY[1 : len(self.images) + 1]
 
     def negated(self):
         """Return the same permutation with the opposite sign."""
         n = self.degree
-        imgs = list(self.images)
-        imgs[n], imgs[n + 1] = imgs[n + 1], imgs[n]
-        return SignedPermutation(imgs)
+        return SignedPermutation(self.images[:n] + self.images[n:][::-1])
 
 
 class CanonResult:
@@ -134,15 +146,13 @@ def from_signed_cycles(n, sign, cycles):
 
 def compose(a, b):
     """a∘b: apply b first, then a.  ``compose(a, b)[i] == a[b[i]]``."""
-    ai = (0,) + a.images  # 1-padded, so that ai[x] is the image of x
-    return SignedPermutation([ai[x] for x in b.images])
+    return SignedPermutation(b.images.translate(a.table))
 
 
 def inverse(p):
-    imgs = [0] * len(p.images)
-    for i, img in enumerate(p.images):
-        imgs[img - 1] = i + 1
-    return SignedPermutation(imgs)
+    # the table that sends each image back to its point, read over the points
+    m = len(p.images)
+    return SignedPermutation(bytes.maketrans(p.images, _IDENTITY[1 : m + 1])[1 : m + 1])
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

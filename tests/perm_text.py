@@ -1,9 +1,12 @@
-"""Text forms of signed permutations that the tests read and write.
+"""Text forms of signed permutations that the tests read and write,
+and a plain tuple reference for their arithmetic.
 
 ``format_cycles`` writes the signed cycle string that
 :func:`tensorcanon.signed_perm.parse_cycles` reads, and ``parse_array``
 and ``format_array`` the array form ``<2,1,4,3>|-``: the images of
-1..n, then the sign.
+1..n, then the sign.  ``tuple_compose``, ``tuple_inverse`` and
+``tuple_negated`` work on image tuples (length n+2, sign pair last)
+with nothing but indexing.
 """
 
 from tensorcanon.signed_perm import SignedPermutation
@@ -77,3 +80,19 @@ def format_array(p):
     n = p.degree
     body = ",".join(str(x) for x in p.images[:n])
     return f"<{body}>|{'+' if p.sign > 0 else '-'}"
+
+
+def tuple_compose(a, b):
+    """Images of a∘b, b applied first: ``a[b[i] - 1]`` at each point i."""
+    return tuple(a[x - 1] for x in b)
+
+
+def tuple_inverse(a):
+    imgs = [0] * len(a)
+    for point, image in enumerate(a, 1):
+        imgs[image - 1] = point
+    return tuple(imgs)
+
+
+def tuple_negated(a):
+    return a[:-2] + (a[-1], a[-2])

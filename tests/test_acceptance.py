@@ -400,11 +400,11 @@ def test_sign_homomorphism_spot_check():
         imgs = list(range(1, n + 1))
         rng.shuffle(imgs)
         a = from_signed_cycles(n, rng.choice([1, -1]), [])
-        a = a.__class__(tuple(imgs) + a.images[n:])
+        a = a.__class__(tuple(imgs) + tuple(a.images[n:]))
         imgs2 = list(range(1, n + 1))
         rng.shuffle(imgs2)
         b = from_signed_cycles(n, rng.choice([1, -1]), [])
-        b = b.__class__(tuple(imgs2) + b.images[n:])
+        b = b.__class__(tuple(imgs2) + tuple(b.images[n:]))
         assert compose(a, b).sign == a.sign * b.sign
 
 

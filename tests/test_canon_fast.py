@@ -8,8 +8,6 @@ from tensorcanon import canon_fast
 from tensorcanon.bench import budget, generate
 from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
 from tensorcanon.canon_fast import (
-    MAX_SLOTS,
-    _table,
     canonicalize,
     get_least_value_instances,
     update_propagated_symmetries,
@@ -18,7 +16,7 @@ from tensorcanon.canon_fast import (
 from tensorcanon.frontend import Registry, build_problem, factor_text, parse, render
 from tensorcanon.label_context import IndexClass, build
 from tensorcanon.oracle import brute_force_canonicalize, enumerate_group, enumerate_label_group
-from tensorcanon.signed_perm import SignedPermutation, compose, identity
+from tensorcanon.signed_perm import MAX_SLOTS, identity
 
 from perm_text import parse_array
 
@@ -202,6 +200,35 @@ def test_zero_before_the_first_pass(decls, expr):
     assert prob.canonicalize(trace=trace).is_zero
     assert trace["configs_per_slot"] == []
     assert _oracle(prob).is_zero
+
+
+@pytest.mark.parametrize(
+    "decls, expr",
+    [
+        ("tensor A rank=2 asym=1..2", "A_{1 1}"),
+        ("tensor A rank=2 asym=1..2", "A_{a}^{a}"),
+        ("bundle m metric=antisymmetric\ntensor T rank=2 sym=1..2", "T_{m1}^{m1}"),
+    ],
+    ids=["equal-numerals-in-asym", "symmetric-metric-pair-in-asym", "antisymmetric-metric-pair-in-sym"],
+)
+def test_search_alone_proves_the_smallest_sweep_zeros(monkeypatch, decls, expr):
+    # the sweep settles these before the first pass, so no zero rule is
+    # reached; with the sweep off, the first or the third zero rule
+    # proves them in the search, which without those rules would print
+    # them nonzero
+    _, _, prob = make_problem(decls, expr)
+    trace = {}
+    assert prob.canonicalize(trace=trace).is_zero and trace["configs_per_slot"] == []
+    checks = []
+
+    def recorded(*args):
+        checks.append(zero_due_to_propagated_symmetries(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(canon_fast, "zero_before_search", lambda g, ctx, subsets: False)
+    monkeypatch.setattr(canon_fast, "zero_due_to_propagated_symmetries", recorded)
+    assert prob.canonicalize().is_zero
+    assert checks and checks[-1], checks
 
 
 @pytest.mark.parametrize(
@@ -461,27 +488,6 @@ def test_matches_baseline_on_random_riemann_products():
         assert fast == base, expr
 
 
-def random_signed_permutation(rng, n):
-    images = list(range(1, n + 1))
-    rng.shuffle(images)
-    return SignedPermutation(images + rng.choice([[n + 1, n + 2], [n + 2, n + 1]]))
-
-
-def test_translation_table_composes_on_the_left():
-    # a configuration is bytes, and translating it through a label
-    # element's table applies that element to every slot and the sign pair
-    rng = random.Random(11)
-    signs = set()
-    for n in range(1, MAX_SLOTS + 1):
-        for _ in range(2):
-            p = random_signed_permutation(rng, n)
-            h = random_signed_permutation(rng, n)
-            g = bytes(h.images)
-            assert g.translate(_table(p)) == bytes(compose(p, SignedPermutation(g)).images), (n, p, h)
-            signs.add((p.sign, h.sign))
-    assert len(signs) == 4
-
-
 def test_largest_monomial_canonicalizes_to_a_fixed_point():
     # 253 slots, the most a configuration's bytes can hold: eleven rank-23
     # factors wired by 126 dummy pairs and one free index; the result is
@@ -497,7 +503,7 @@ def test_largest_monomial_canonicalizes_to_a_fixed_point():
     reg, mono, prob = make_problem("tensor T rank=23 asym=1..3 sym=4..5", expr)
     assert prob.n == MAX_SLOTS
     result = prob.canonicalize()
-    assert result.g.images[MAX_SLOTS:] == (255, 254)
+    assert tuple(result.g.images[MAX_SLOTS:]) == (255, 254)
     assert result == butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes))
     text = render(result, mono, reg)
     assert text.startswith("-")

@@ -70,7 +70,7 @@ def test_declaration_errors():
     "tensor 2A rank=2",
     "tensor A-b rank=1",
     "bundle x_ metric=none",
-    # more slots than a monomial may have (canon_fast.MAX_SLOTS)
+    # more slots than a monomial may have (signed_perm.MAX_SLOTS)
     "tensor T rank=254",
 ], ids=["rank-not-a-number", "gens-point-beyond-rank", "rank-zero", "rank-negative",
         "tensor-name-leading-digit", "tensor-name-dash", "bundle-name-underscore", "rank-over-max-slots"])

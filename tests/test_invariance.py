@@ -564,7 +564,7 @@ def test_updates_match_their_references(monkeypatch):
     def check_tables(ctx):
         # each kept table is the built context's: a table depends on the layout alone
         for (label, least), table in ctx.tables.items():
-            assert table == canon_fast._table(label_permutation_from_group(ctx, label, least)), (label, least)
+            assert table == label_permutation_from_group(ctx, label, least).table, (label, least)
             counts["tables"] += 1
 
     monkeypatch.setattr(canon_fast, "get_least_value_instances", checked_least)
