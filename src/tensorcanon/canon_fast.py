@@ -367,11 +367,12 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     ``label_permutation_from_group(ctx, label, least_value)`` is built
     once per layout and kept in ``ctx.tables`` (see
     :class:`~tensorcanon.label_context.LabelContext`).  Coset
-    representatives and the points they move are built once per
-    declaration and kept on its chain's trees (see
-    :class:`~tensorcanon.perm_group.SchreierTree`), and shifted into place
-    once per product of declarations; a pass reads them as
-    ``S.tree(i).moves(p)``.  A child is its parent's g translated
+    representatives and the points they move are built once per chain
+    and kept on its trees (see
+    :class:`~tensorcanon.perm_group.SchreierTree`): a one-factor
+    product is its declaration's chain, and a product of several factors
+    has its own, shared by every monomial of that product; a pass reads
+    them as ``S.tree(i).moves(p)``.  A child is its parent's g translated
     through the label element's table, then patched, with a copy of s,
     on those points; it shares its parent's s when the representative
     is the identity.  ``prop`` is replaced, never mutated, and an update

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    tensorcanon canon --decls FILE [--engine fast|baseline|both] EXPR...
+    tensorcanon canon [--decls FILE] [--declare LINE]... [--engine fast|baseline|both] EXPR...
     tensorcanon bench --families LIST --sizes LIST [--trials N]
                       [--engines LIST] [--out FILE] [--time-budget SECONDS]
     tensorcanon oracle-check --families LIST [--max-slots K] [--trials N]

@@ -93,7 +93,11 @@ first use and keeps them.  The :class:`Registry` keeps one product
 (``perm_group.direct_product``) per sequence of declarations, a
 monomial's ``decls``, that :func:`build_problem` has met, for its whole
 life: every monomial whose factors were bound to the same declarations,
-in the same order, shares one slot chain and one set of subsets.
+in the same order, shares one slot chain and one set of subsets.  A
+product of several factors is Schreier-Sims over the factors' strong
+generators shifted into place, certified by its known order without
+verification, and keeps its own trees and their representatives; a
+one-factor product is the declaration's own chain.
 Declarations are compared by identity, so a redeclared tensor starts a
 new product and the old one stays with the monomials parsed before.
 """
@@ -399,8 +403,9 @@ def build_problem(monomial, registry):
     its symmetric subsets come from ``registry.products``, keyed by
     ``monomial.decls``, the declarations :func:`parse` bound to the
     factors, in order.  The first monomial with a new key assembles them
-    from each factor's cached chain (:meth:`TensorDecl.chain`), shifted
-    to the factor's slots; every later one shares that product.  The
+    from each factor's cached chain (:meth:`TensorDecl.chain`), its
+    strong generators shifted to the factor's slots; every later one
+    shares that product.  The
     registry's current declarations are not consulted.  The initial
     label context comes from ``registry.contexts``, keyed by
     ``monomial.classes``, the class layout, which fixes it: every

@@ -6,27 +6,27 @@ stabilizes exactly the points 1..i-1; this is what the canonicalization
 engines rely on when they ask for "the stabilizer of the first i-1
 slots".
 
-Schreier trees are built breadth-first with generators tried in
-ascending index order, which makes coset representatives deterministic.
-Each tree builds a representative, its inverse and the points it moves
-the first time it is asked for and keeps them; a kept permutation keeps
-the ``bytes.translate`` table :attr:`SignedPermutation.table` builds on
-its first composition, so a generator or an inverse representative is
-composed through one table however often it is used.  The trees of a
-product shift the moved points their block's tree keeps, keep the
-shifted orbit and moved points themselves, and build representatives
-from those.
+Every chain is built by :func:`schreier_sims`, and every level's tree is
+a :class:`SchreierTree`.  Trees are built breadth-first with generators
+tried in ascending index order, which makes coset representatives
+deterministic.  Each tree builds a representative, its inverse and the
+points it moves the first time it is asked for and keeps them; a kept
+permutation keeps the ``bytes.translate`` table
+:attr:`SignedPermutation.table` builds on its first composition, so a
+generator or an inverse representative is composed through one table
+however often it is used.
 Everything else is read off the chain: membership sifts through the
 trees (:func:`_sift`, shared with Schreier-Sims), whether -identity is
 a member (:attr:`Bsgs.has_minus_one`) from the sign level, and the
 symmetric subsets from the orbits (:func:`detect_symmetric_subsets`).
 
 A group acting on consecutive slot blocks that share only the sign (the
-slot group of a tensor monomial, one block per factor) is assembled by
-:func:`direct_product` from one chain per block, and its symmetric
-subsets by :func:`product_subsets`, without running Schreier-Sims or
-subset detection over the whole product.  A product chain has trees but
-no strong generators.
+slot group of a tensor monomial, one block per factor) is built by
+:func:`direct_product`: Schreier-Sims over the blocks' strong generators
+shifted into place, given the product's order, which certifies the
+chain without verification.  Its symmetric subsets come from each
+block's own by :func:`product_subsets`, without subset detection over
+the whole product.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class SchreierTree:
     Schreier-Sims builds a new tree whenever a level's generators
     change, so a memo never outlives the generators it was built from.
     A declaration's chain keeps its trees, so every monomial that uses
-    the declaration shares them.
+    the declaration shares them, and a product of declarations keeps its
+    own, shared by every monomial of that product.
     """
 
     def __init__(self, root, gens, degree):
@@ -129,13 +130,7 @@ class Bsgs:
         self.has_minus_one = len(trees[n + 1]) == 2
 
     def generators(self, level=1):
-        """Strong generators fixing the points 1..level-1 pointwise.
-
-        Only :func:`schreier_sims` chains keep them; a
-        :func:`direct_product` chain keeps trees alone.
-        """
-        if self._level_gens is None:
-            raise ValueError("a product chain keeps trees, not strong generators")
+        """Strong generators fixing the points 1..level-1 pointwise, in the order they were adjoined."""
         return list(self._level_gens[level])
 
     def orbit_of(self, level):
@@ -175,13 +170,25 @@ def _sift(trees, h, start):
     return h
 
 
-def schreier_sims(n, generators):
+def schreier_sims(n, generators, order=None):
     """Deterministic Schreier-Sims over the complete base <1..n+2>.
 
-    Returns a :class:`Bsgs`.  Levels are verified from the deepest one
-    upward; when sifting a Schreier generator leaves a non-identity
-    residue, the residue is adjoined as a strong generator and the
-    affected deeper levels are re-verified.
+    Returns a :class:`Bsgs`.  Level i's tree is first built from the
+    input generators that fix 1..i-1.  If ``order`` is given and equals
+    the product of those trees' orbit lengths, that chain is returned
+    unverified.  This is sound: each level's generators generate a
+    subgroup of the true stabilizer of 1..i-1, so its orbit is at most
+    the true basic orbit, and the product of the orbit lengths is at
+    most |G|.  Equality with |G| makes every level's orbit the full
+    basic orbit, so every tree is a full transversal, and sifting works
+    as on a verified chain.  ``order`` must be |G| or None: an order
+    above |G| never matches and costs only verification, but one below
+    it can match a chain that misses part of G.
+
+    Otherwise levels are verified from the deepest one upward; when
+    sifting a Schreier generator leaves a non-identity residue, the
+    residue is adjoined as a strong generator and the affected deeper
+    levels are re-verified.
     """
     deg = n + 2
     level_gens = [[] for _ in range(deg + 1)]  # index 0 unused
@@ -208,6 +215,10 @@ def schreier_sims(n, generators):
 
     for i in range(1, deg + 1):
         rebuild(i)
+    if order is not None:
+        chain = Bsgs(n, level_gens, trees)
+        if chain.group_order == order:
+            return chain
 
     # Every change to a level's generators rebuilds its tree, so each
     # level is verified against the tree of its current generators.
@@ -234,91 +245,42 @@ def schreier_sims(n, generators):
         if clean:
             i -= 1
 
-    return Bsgs(n, [tuple(gens) for gens in level_gens], trees)
-
-
-class _ShiftedTree:
-    """A block's Schreier tree read with its points moved up by ``offset``.
-
-    Coset representatives are the block's own, cached once on the
-    block's tree: local points 1..k map to offset+1..offset+k and the
-    local sign pair k+1, k+2 to n+1, n+2.  The orbit is shifted once,
-    and each representative's moved points the first time :meth:`moves`
-    is asked for them, and both are kept, since a product is shared by
-    every monomial of its declarations.  A representative and its
-    inverse are built from those moved points on each call.
-    """
-
-    __slots__ = ("_tree", "_offset", "_n", "root", "orbit", "_moves")
-
-    def __init__(self, tree, offset, n):
-        self._tree = tree
-        self._offset = offset
-        self._n = n
-        self.root = tree.root + offset
-        self.orbit = tuple(p + offset for p in tree.orbit)
-        self._moves = {}
-
-    def __contains__(self, point):
-        return point - self._offset in self._tree
-
-    def __len__(self):
-        return len(self._tree)
-
-    def _local(self, target):
-        if target not in self:
-            raise KeyError(f"point {target} not in orbit of {self.root}")
-        return target - self._offset
-
-    def rep(self, target):
-        return self._patched(self.moves(target))
-
-    def rep_inverse(self, target):
-        return self._patched((y, x) for x, y in self.moves(target))
-
-    def _patched(self, pairs):
-        """The identity of degree n with x mapped to y for each (x, y) in ``pairs``."""
-        images = bytearray(identity(self._n).images)
-        for x, y in pairs:
-            images[x - 1] = y
-        return SignedPermutation(images)
-
-    def moves(self, target):
-        m = self._moves.get(target)
-        if m is None:
-            offset = self._offset
-            k = self._tree.degree - 2
-            up = self._n - k  # the local sign pair's shift
-            m = self._moves[target] = tuple(
-                (x + offset, y + offset) if x <= k else (x + up, y + up)
-                for x, y in self._tree.moves(self._local(target))
-            )
-        return m
+    return Bsgs(n, level_gens, trees)
 
 
 def direct_product(chains):
     """Chain of the product of groups on consecutive slot blocks sharing the sign.
 
     ``chains`` holds one :class:`Bsgs` per block, over its local slots
-    1..k, in slot order.  Level offset+j of the result is block f's level
-    j tree moved up by the ``offset`` slots before the block.  The sign
-    level moves, and the product has -identity, iff some block has it.
-    Orbits, coset representatives, group order and membership equal
-    those of ``schreier_sims`` run on all the shifted generators at once:
-    generators of other blocks fix a block's points, so they add no edge
-    to its trees and no residue to its levels.  Representatives are
-    built from their shifted moved points on demand.  The product keeps
-    no strong generators: every caller reads its trees.
+    1..k, in slot order; one block is its own product and is returned
+    as it is.  Otherwise each block's strong generators, in order, are
+    shifted into degree n (local slot j to offset+j, the local sign pair
+    to n+1, n+2) and run through :func:`schreier_sims` with the
+    product's order.  Level offset+j's generators are block f's level-j
+    ones, every later block's and any -identity; all but the first fix
+    block f's points and add no edge to its tree, so its orbits and
+    coset representatives are the block's own, shifted.  The blocks
+    share only the sign: with t >= 1 blocks holding -identity the order
+    is the product of the blocks' orders over 2^(t-1), and the orbit
+    lengths match it, so the chain is certified without verification.
     """
+    if len(chains) == 1:
+        return chains[0]
     n = sum(c.n for c in chains)
-    deg = n + 2
-    minus = (identity(n).negated(),) if any(c.has_minus_one for c in chains) else ()
-    trees = [None]
+    gens = []
+    order = 1
+    minus = 0
+    offset = 0
     for c in chains:
-        offset = len(trees) - 1
-        trees.extend(_ShiftedTree(c.tree(j), offset, n) for j in range(1, c.n + 1))
-    trees += [SchreierTree(n + 1, minus, deg), SchreierTree(n + 2, (), deg)]
-    return Bsgs(n, None, trees)
+        k = c.n
+        head, tail = bytes(range(1, offset + 1)), bytes(range(offset + k + 1, n + 1))
+        for g in c.generators():
+            sign = bytes((n + 1, n + 2) if g.sign > 0 else (n + 2, n + 1))
+            gens.append(SignedPermutation(head + bytes(x + offset for x in g.images[:k]) + tail + sign))
+        order *= c.group_order
+        minus += c.has_minus_one
+        offset += k
+    return schreier_sims(n, gens, order // 2 ** max(minus - 1, 0))
 
 
 def detect_symmetric_subsets(bsgs):

@@ -12,6 +12,7 @@ from tensorcanon.frontend import (
     render,
 )
 from tensorcanon.label_context import GroupCode
+from tensorcanon import perm_group
 from tensorcanon.perm_group import SchreierTree, detect_symmetric_subsets, schreier_sims
 from tensorcanon.signed_perm import CanonResult, SignedPermutation, inverse
 
@@ -342,10 +343,13 @@ def _random_declaration(rng, name):
     return f'tensor {name} rank={rank} gens="{",".join(gens)}"'
 
 
-def test_product_chain_matches_one_schreier_sims():
+def test_product_chain_matches_one_schreier_sims(monkeypatch):
     rng = random.Random(3)
     minus_one = 0  # products holding -identity
-    signed_moves = 0  # shifted-tree representatives that move the sign pair
+    signed_moves = 0  # product representatives that move the sign pair
+    sifts = []
+    sift = perm_group._sift
+    monkeypatch.setattr(perm_group, "_sift", lambda *args: sifts.append(args) or sift(*args))
     for trial in range(60):
         decls = [_random_declaration(rng, f"T{i}") for i in range(4)]
         # the sign level is shared across factors: a tensor that is minus
@@ -360,7 +364,12 @@ def test_product_chain_matches_one_schreier_sims():
         labels = iter(f"i{k}" for k in range(100))
         expr = " ".join(t + "_{" + " ".join(next(labels) for _ in range(reg.tensors[t].rank)) + "}" for t in factors)
         mono = parse(expr, reg)
+        for decl in mono.decls:
+            decl.chain()
+        # the product's known order certifies its chain: nothing is sifted
+        del sifts[:]
         prob = build_problem(mono, reg)
+        assert sifts == [], expr
         S_old, subsets_old = _one_schreier_sims(mono, reg)
         S = prob.S
         assert S.group_order == S_old.group_order, expr
@@ -477,6 +486,26 @@ def test_coset_representatives_are_built_once_per_declaration(monkeypatch):
         built.append(len(walks))
     assert 0 < built[0] == built[1]
     assert outputs == ["T_{a b c d e f g h}"] * 2
+
+
+def test_product_representatives_are_built_once_per_product(monkeypatch):
+    walks = []
+    walk = SchreierTree._walk
+    monkeypatch.setattr(SchreierTree, "_walk", lambda tree, target: walks.append((tree, target)) or walk(tree, target))
+    reg = Registry()
+    reg.declare("tensor T rank=4 sym=1..2")
+    reg.declare('tensor R rank=4 gens="-(1,2),+(1,3)(2,4),-(3,4)"')
+    products, outputs = set(), []
+    for expr in ("T_{a b c d} R^{d c e f}", "T_{d c b a} R^{e f c d}", "T_{b a c d} R^{f e d c}"):
+        mono = parse(expr, reg)
+        prob = build_problem(mono, reg)
+        products.add(prob.S)
+        outputs.append(render(prob.canonicalize(), mono, reg))
+    assert outputs == ["-T_{a b c d} R^{e f c d}", "0", "T_{a b c d} R^{e f c d}"]
+    (S,) = products
+    # the product's own trees are walked, each (tree, target) once
+    assert {tree for tree, _ in walks} & {S.tree(level) for level in range(1, S.degree + 1)}
+    assert len(set(walks)) == len(walks)
 
 
 @pytest.mark.parametrize("redeclared", ["tensor T rank=3 asym=1..3", "tensor T rank=2 asym=1..2"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tensorcanon.signed_perm import SignedPermutation, identity, from_signed_cycles, compose, inverse, parse_cycles
 import pytest
 
+from tensorcanon import perm_group
 from tensorcanon.perm_group import Bsgs, direct_product, schreier_sims, detect_symmetric_subsets
 
 
@@ -56,6 +57,11 @@ def closure_subsets(n, elems):
 
 def _detected(S):
     return (None if S.has_minus_one else detect_symmetric_subsets(S)[1:]), S.has_minus_one
+
+
+def sugar_gens(n, ranges):
+    """Adjacent transpositions of sign s on slots a..b, for each (s, a, b) in ``ranges``."""
+    return [from_signed_cycles(n, s, [(i, i + 1)]) for s, a, b in ranges for i in range(a, b)]
 
 
 def riemann_gens(n=4, offset=0):
@@ -150,11 +156,19 @@ def test_detect_subsets_inconsistent():
     assert not schreier_sims(n, gens[:1]).has_minus_one
 
 
-def test_product_chain_has_no_strong_generators():
-    sym = schreier_sims(2, [from_signed_cycles(2, 1, [(1, 2)])])
-    assert sym.generators(1) == [from_signed_cycles(2, 1, [(1, 2)])]
-    with pytest.raises(ValueError, match="^a product chain keeps trees, not strong generators$"):
-        direct_product([sym, sym]).generators(1)
+def test_product_strong_generators_are_members_fixing_their_prefix():
+    sym = schreier_sims(4, sugar_gens(4, [(1, 1, 4)]))
+    riemann = schreier_sims(4, riemann_gens())
+    minus = schreier_sims(2, [identity(2).negated()])
+    assert direct_product([riemann]) is riemann
+    for chains, order in (([sym, riemann], 24 * 8), ([riemann, sym, minus], 8 * 24 * 2), ([minus, riemann, minus], 2 * 8)):
+        S = direct_product(chains)
+        assert S.group_order == order
+        assert S.generators(1)
+        for level in range(1, S.degree + 1):
+            for g in S.generators(level):
+                assert S.contains(g)
+                assert all(g[p] == p for p in range(1, level))
 
 
 def test_riemann_subsets():
@@ -208,3 +222,50 @@ def test_subset_detection_sifts_only_orbit_points(monkeypatch):
     S = schreier_sims(32, [from_signed_cycles(32, 1, [(i, i + 1)]) for i in range(1, 32)])
     assert detect_symmetric_subsets(S)[1:] == [1] * 32
     assert len(calls) <= 31
+
+
+# sym=1..8, asym=1..20, sym=1..10 asym=11..20, sym=1..32, sym=2..4 asym=5..7
+SUGAR = [
+    (8, [(1, 1, 8)]),
+    (20, [(-1, 1, 20)]),
+    (20, [(1, 1, 10), (-1, 11, 20)]),
+    (32, [(1, 1, 32)]),
+    (7, [(1, 2, 4), (-1, 5, 7)]),
+]
+
+
+def _chain_data(S):
+    """Orbits and coset representatives level by level, order and -identity."""
+    levels = [(S.orbit_of(lvl), [S.coset_rep(lvl, t) for t in S.orbit_of(lvl)]) for lvl in range(1, S.degree + 1)]
+    return levels, S.group_order, S.has_minus_one
+
+
+def _counting_sifts(monkeypatch):
+    sifts = []
+    sift = perm_group._sift
+    monkeypatch.setattr(perm_group, "_sift", lambda *args: sifts.append(args) or sift(*args))
+    return sifts
+
+
+@pytest.mark.parametrize("n, ranges", SUGAR)
+def test_known_order_certifies_the_chain_without_verifying(n, ranges, monkeypatch):
+    gens = sugar_gens(n, ranges)
+    verified = schreier_sims(n, gens)
+    sifts = _counting_sifts(monkeypatch)
+    certified = schreier_sims(n, gens, verified.group_order)
+    assert sifts == []
+    assert _chain_data(certified) == _chain_data(verified)
+    assert detect_symmetric_subsets(certified) == detect_symmetric_subsets(verified)
+
+
+@pytest.mark.parametrize("n, ranges", SUGAR)
+def test_wrong_order_falls_back_to_verification(n, ranges, monkeypatch):
+    gens = sugar_gens(n, ranges)
+    verified = schreier_sims(n, gens)
+    order = verified.group_order
+    sifts = _counting_sifts(monkeypatch)
+    for wrong in (2 * order, order // 2, 1):
+        del sifts[:]
+        S = schreier_sims(n, gens, wrong)
+        assert sifts
+        assert _chain_data(S) == _chain_data(verified)
