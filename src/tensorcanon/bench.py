@@ -185,10 +185,11 @@ def budget(seconds):
         raise TimeoutError(f"over the {seconds}s time budget")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    # Python drops an exception raised in a finalizer (say a __del__ the
-    # cyclic gc runs), so the timer repeats until the finally disarms it.
-    signal.setitimer(signal.ITIMER_REAL, seconds, min(seconds, 0.01))
     try:
+        # Python drops an exception raised in a finalizer (say a __del__ the
+        # cyclic gc runs), so the timer repeats until the finally disarms it;
+        # it is armed inside the try, which disarms it if it fires at once.
+        signal.setitimer(signal.ITIMER_REAL, seconds, 0.01)
         yield
     finally:
         try:

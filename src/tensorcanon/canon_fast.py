@@ -33,7 +33,7 @@ import itertools
 from operator import itemgetter
 
 from .label_context import GroupCode, update_context, label_permutation_from_group
-from .signed_perm import CanonResult, SignedPermutation, compose, identity  # noqa: F401 (perfbench/tracing.py counts canon_fast.compose calls)
+from .signed_perm import CanonResult, SignedPermutation, compose, identity
 
 
 def _sign(x):
@@ -284,15 +284,16 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     use as ``label_permutation_from_group(ctx, label, least_value).table``.
     An exchange child (p != q) folds in the swap of the two labels,
     signed by their family: two entries of the table, and the sign pair
-    when the family is negative.  ``S.tree(i).moves(p)`` gives the
-    points slot i's coset representative for p moves; the tree keeps
-    them from their first use.
+    when the family is negative.  stilde is ``S.tree(i).rep(p)``, slot
+    i's coset representative for p, which the tree keeps from its first
+    use.
 
     Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked)``:
-    g is translated through ltilde's table, then the result and a copy
-    of s are patched on the points stilde moves, and s is shared when
-    stilde is the identity.  A child whose label is already in place
-    (p == q, label == ``least_value``) starts from g itself.
+    g is translated through ltilde's table, then the result and s are
+    each composed with stilde, except at p == i, whose representative is
+    the identity: there the child shares s.  A child whose label is
+    already in place (p == q, label == ``least_value``) starts from g
+    itself.
     ``checked`` is ``prop``, which this configuration has passed the
     zero check against, or None for a child that took its label through
     an exchange (p != q): such a child must be checked again.
@@ -301,7 +302,7 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     partner = ctx.partner
     tables = ctx.tables
     n = ctx.n
-    moves = S.tree(i).moves
+    rep = S.tree(i).rep
     lone = len(instances) == 1  # nothing for it to be redundant with
     for p, q in instances:
         label = g[q - 1]
@@ -332,15 +333,12 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
                     swapped[n + 1], swapped[n + 2] = table[n + 2], table[n + 1]
                 table = swapped
             relabelled = g.translate(table)
-        slots = moves(p)
-        if slots:
-            child, child_s = bytearray(relabelled), bytearray(s)
-            for x, y in slots:
-                child[x - 1] = relabelled[y - 1]
-                child_s[x - 1] = s[y - 1]
-            child, child_s = bytes(child), bytes(child_s)
-        else:
+        if p == i:
             child, child_s = relabelled, s
+        else:
+            u = rep(p)
+            child = compose(SignedPermutation(relabelled), u).images
+            child_s = compose(SignedPermutation(s), u).images
         out.append((child, child_s, prop if p == q else None))
     return out
 
@@ -367,16 +365,15 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     ``label_permutation_from_group(ctx, label, least_value)`` is built
     once per layout and kept in ``ctx.tables`` (see
     :class:`~tensorcanon.label_context.LabelContext`).  Coset
-    representatives and the points they move are built once per chain
-    and kept on its trees (see
-    :class:`~tensorcanon.perm_group.SchreierTree`): a one-factor
-    product is its declaration's chain, and a product of several factors
-    has its own, shared by every monomial of that product; a pass reads
-    them as ``S.tree(i).moves(p)``.  A child is its parent's g translated
-    through the label element's table, then patched, with a copy of s,
-    on those points; it shares its parent's s when the representative
-    is the identity.  ``prop`` is replaced, never mutated, and an update
-    that keeps no entry returns it as it was.
+    representatives are built once per chain and kept on its trees (see
+    :class:`~tensorcanon.perm_group.SchreierTree`), and every monomial
+    of one product of declarations shares that chain
+    (``frontend.Registry.products``); a pass reads them as
+    ``S.tree(i).rep(p)``.  A child is its parent's g translated through
+    the label element's table, then composed, as is its parent's s, with
+    that representative; it shares its parent's s when the
+    representative is the identity.  ``prop`` is replaced, never
+    mutated, and an update that keeps no entry returns it as it was.
 
     A dummy instance is dropped when an instance already kept from the
     same configuration fills the same subset Y and the partners of the

@@ -88,18 +88,21 @@ Slot group
 
 The frontend models no exchange of equal factors, so a monomial's slot
 group is the product of its factors' groups, which share only the sign.
-Each :class:`TensorDecl` computes its own chain and symmetric subsets on
-first use and keeps them.  The :class:`Registry` keeps one product
-(``perm_group.direct_product``) per sequence of declarations, a
-monomial's ``decls``, that :func:`build_problem` has met, for its whole
-life: every monomial whose factors were bound to the same declarations,
-in the same order, shares one slot chain and one set of subsets.  A
-product of several factors is Schreier-Sims over the factors' strong
-generators shifted into place, certified by its known order without
-verification, and keeps its own trees and their representatives; a
-one-factor product is the declaration's own chain.
+:meth:`Registry.slot_group` keeps every slot chain it builds, with its
+symmetric subsets, in one memo, ``Registry.products``, keyed by a
+sequence of declarations, a monomial's ``decls``, for the registry's
+whole life: every monomial whose factors were bound to the same
+declarations, in the same order, shares one slot chain and one set of
+subsets.  The key ``(decl,)`` holds the declaration's own chain,
+Schreier-Sims over its generators, and its detected subsets, built the
+first time a key holds the declaration.  A longer key holds the product
+of its factors' one-factor chains (``perm_group.direct_product``):
+Schreier-Sims over their strong generators shifted into place,
+certified by its known order without verification, with its own trees
+and their representatives, and the factors' subsets renumbered
+(``perm_group.product_subsets``).
 Declarations are compared by identity, so a redeclared tensor starts a
-new product and the old one stays with the monomials parsed before.
+new key and the old one stays with the monomials parsed before.
 """
 
 from __future__ import annotations
@@ -124,7 +127,6 @@ class TensorDecl:
     name: str
     rank: int
     gens: list = field(default_factory=list)  # SignedPermutation, degree == rank
-    _chain: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -134,17 +136,6 @@ class TensorDecl:
                 raise FrontendError(
                     f"tensor {self.name}: generator degree {g.degree} != rank {self.rank}"
                 )
-
-    def chain(self):
-        """(slot Bsgs, symmetric-subset slot array) over the local slots 1..rank.
-
-        Computed on first use, not at declaration, and kept for every
-        later monomial; redeclaring the name makes a new, empty decl.
-        """
-        if self._chain is None:
-            S = schreier_sims(self.rank, self.gens)
-            self._chain = (S, detect_symmetric_subsets(S))
-        return self._chain
 
 
 @dataclass
@@ -249,6 +240,20 @@ class Registry:
         if metric is None:
             raise FrontendError(f"bundle {name}: metric is required")
         self.bundles[name] = Bundle(name, metric)
+
+    def slot_group(self, decls):
+        """(slot Bsgs, symmetric-subset slot array) of the product of
+        ``decls``, kept in ``products`` (see "Slot group")."""
+        group = self.products.get(decls)
+        if group is None:
+            if len(decls) == 1:
+                S = schreier_sims(decls[0].rank, decls[0].gens)
+                group = (S, detect_symmetric_subsets(S))
+            else:
+                chains, subsets = zip(*(self.slot_group((decl,)) for decl in decls))
+                group = (direct_product(chains), product_subsets(subsets))
+            self.products[decls] = group
+        return group
 
     def bundle_index(self, token):
         """Position of the bundle owning an index token: the longest
@@ -400,14 +405,12 @@ def build_problem(monomial, registry):
     """Translate a parsed monomial into a canonicalization problem.
 
     The labels are the ones :func:`parse` assigned.  The slot group and
-    its symmetric subsets come from ``registry.products``, keyed by
+    its symmetric subsets come from :meth:`Registry.slot_group`, keyed by
     ``monomial.decls``, the declarations :func:`parse` bound to the
-    factors, in order.  The first monomial with a new key assembles them
-    from each factor's cached chain (:meth:`TensorDecl.chain`), its
-    strong generators shifted to the factor's slots; every later one
-    shares that product.  The
-    registry's current declarations are not consulted.  The initial
-    label context comes from ``registry.contexts``, keyed by
+    factors, in order: the first monomial with a new key builds them,
+    from each factor's one-factor entry, and every later one shares
+    them.  The registry's current declarations are not consulted.  The
+    initial label context comes from ``registry.contexts``, keyed by
     ``monomial.classes``, the class layout, which fixes it: every
     monomial of one layout shares one context, and with it the narrowed
     contexts and label tables that the fast engine keeps there (see
@@ -415,11 +418,7 @@ def build_problem(monomial, registry):
     """
     n = len(monomial.labels)
     g_init = SignedPermutation(monomial.labels + (n + 1, n + 2))
-    product = registry.products.get(monomial.decls)
-    if product is None:
-        chains, local_subsets = zip(*(decl.chain() for decl in monomial.decls))
-        product = registry.products[monomial.decls] = (direct_product(chains), product_subsets(local_subsets))
-    S, subsets = product
+    S, subsets = registry.slot_group(monomial.decls)
     ctx = registry.contexts.get(monomial.classes)
     if ctx is None:
         ctx = registry.contexts[monomial.classes] = build_context(monomial.classes)

@@ -9,12 +9,11 @@ slots".
 Every chain is built by :func:`schreier_sims`, and every level's tree is
 a :class:`SchreierTree`.  Trees are built breadth-first with generators
 tried in ascending index order, which makes coset representatives
-deterministic.  Each tree builds a representative, its inverse and the
-points it moves the first time it is asked for and keeps them; a kept
-permutation keeps the ``bytes.translate`` table
-:attr:`SignedPermutation.table` builds on its first composition, so a
-generator or an inverse representative is composed through one table
-however often it is used.
+deterministic.  Each tree builds a representative and its inverse the
+first time it is asked for and keeps them; a kept permutation keeps the
+``bytes.translate`` table :attr:`SignedPermutation.table` builds on its
+first composition, so a generator or an inverse representative is
+composed through one table however often it is used.
 Everything else is read off the chain: membership sifts through the
 trees (:func:`_sift`, shared with Schreier-Sims), whether -identity is
 a member (:attr:`Bsgs.has_minus_one`) from the sign level, and the
@@ -38,15 +37,13 @@ class SchreierTree:
     """BFS orbit tree rooted at ``root`` over a fixed generator list.
 
     The tree is the one cache of its coset representatives: :meth:`rep`
-    builds each the first time it is asked for and keeps it,
-    :meth:`rep_inverse` keeps its inverse, which sifting composes with,
-    and :meth:`moves` keeps the points each one moves.  All three are
-    deterministic and immutable for a fixed generator list, and
+    builds each the first time it is asked for and keeps it, and
+    :meth:`rep_inverse` keeps its inverse, which sifting composes with.
+    Both are deterministic and immutable for a fixed generator list, and
     Schreier-Sims builds a new tree whenever a level's generators
     change, so a memo never outlives the generators it was built from.
-    A declaration's chain keeps its trees, so every monomial that uses
-    the declaration shares them, and a product of declarations keeps its
-    own, shared by every monomial of that product.
+    A chain keeps its trees, so every monomial that shares a slot chain
+    (``frontend.Registry.products``) shares them.
     """
 
     def __init__(self, root, gens, degree):
@@ -57,7 +54,6 @@ class SchreierTree:
         self._edges = edges = {root: None}
         self._reps = {}
         self._inverses = {}
-        self._moves = {}
         orbit = [root]
         frontier = [root]
         while frontier:
@@ -91,13 +87,6 @@ class SchreierTree:
         if v is None:
             v = self._inverses[target] = inverse(self.rep(target))
         return v
-
-    def moves(self, target):
-        """``((x, u[x]), ...)`` over the points ``u = rep(target)`` moves, sign pair included."""
-        m = self._moves.get(target)
-        if m is None:
-            m = self._moves[target] = tuple((x, y) for x, y in enumerate(self.rep(target).images, 1) if x != y)
-        return m
 
     def _walk(self, target):
         if target not in self._edges:
@@ -252,8 +241,7 @@ def direct_product(chains):
     """Chain of the product of groups on consecutive slot blocks sharing the sign.
 
     ``chains`` holds one :class:`Bsgs` per block, over its local slots
-    1..k, in slot order; one block is its own product and is returned
-    as it is.  Otherwise each block's strong generators, in order, are
+    1..k, in slot order.  Each block's strong generators, in order, are
     shifted into degree n (local slot j to offset+j, the local sign pair
     to n+1, n+2) and run through :func:`schreier_sims` with the
     product's order.  Level offset+j's generators are block f's level-j
@@ -264,8 +252,6 @@ def direct_product(chains):
     is the product of the blocks' orders over 2^(t-1), and the orbit
     lengths match it, so the chain is certified without verification.
     """
-    if len(chains) == 1:
-        return chains[0]
     n = sum(c.n for c in chains)
     gens = []
     order = 1

@@ -2,11 +2,15 @@ import csv
 import gc
 import io
 import math
+import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import tensorcanon
 from tensorcanon import bench
 from tensorcanon.bench import (
     CSV_COLUMNS,
@@ -206,6 +210,38 @@ def test_spent_budget_raises_before_the_body(seconds):
         with budget(seconds):
             ran.append(1)
     assert ran == []
+
+
+# A tiny budget at the command line, then one in-process; prints the exit
+# status and whether the timer is disarmed and the handler restored.
+_TINY_BUDGET = """
+import signal
+from tensorcanon import cli
+from tensorcanon.bench import budget
+
+status = cli.main(["bench", "--families", "riemann", "--sizes", "1,2", "--trials", "1", "--time-budget", "1e-6"])
+before = signal.getsignal(signal.SIGALRM)
+try:
+    with budget(1e-6):
+        while True:
+            pass
+except TimeoutError:
+    pass
+print(status, signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0), signal.getsignal(signal.SIGALRM) is before)
+"""
+
+
+def test_tiny_budget_ends_and_disarms_its_timer():
+    # a timer repeating as often as it first fires flooded the process with
+    # signals; run apart, so that a hang fails the test
+    src = os.path.dirname(os.path.dirname(tensorcanon.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TINY_BUDGET],
+        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "# riemann: set-up over 1e-06s at size 1, skipping larger sizes" in proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True True"
 
 
 def test_run_bench_budget_bounds_set_up(capsys, monkeypatch):

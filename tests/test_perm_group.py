@@ -160,7 +160,6 @@ def test_product_strong_generators_are_members_fixing_their_prefix():
     sym = schreier_sims(4, sugar_gens(4, [(1, 1, 4)]))
     riemann = schreier_sims(4, riemann_gens())
     minus = schreier_sims(2, [identity(2).negated()])
-    assert direct_product([riemann]) is riemann
     for chains, order in (([sym, riemann], 24 * 8), ([riemann, sym, minus], 8 * 24 * 2), ([minus, riemann, minus], 2 * 8)):
         S = direct_product(chains)
         assert S.group_order == order
