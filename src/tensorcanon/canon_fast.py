@@ -6,11 +6,17 @@ slot->label assignment, carried with the slot permutation s that
 reached it from the initial assignment.  Both are kept as the bare
 ``images`` of a :class:`~tensorcanon.signed_perm.SignedPermutation`
 (n+2 bytes, sign pair last), which the helpers below index and iterate
-directly; only the result is wrapped back into a signed permutation.  A
-label permutation is applied to every slot at once by
-``bytes.translate`` through its
-:attr:`~tensorcanon.signed_perm.SignedPermutation.table`, and
-configurations sort by memcmp, the order of signed permutations, so the
+directly; only the result is wrapped back into a signed permutation.
+Each map applied to every slot at once is one ``bytes`` call through a
+256-byte translate table, and no signed permutation is built per child:
+a label element relabels g through its
+:attr:`~tensorcanon.signed_perm.SignedPermutation.table`; a child x∘u
+(x = g or s, u a coset representative) is ``u.translate(b"\\0" + x +
+tail)``, x itself padded into a table; the value of each slot's label
+is ``g.translate(ctx.value_table)``; and the slot holding a label,
+looked up for dummy partners, is read from ``bytes.maketrans(g,
+identity)``, built at a configuration's first partner lookup.
+Configurations sort by memcmp, the order of signed permutations, so the
 engine takes at most ``signed_perm.MAX_SLOTS`` = 253 slots.  Each pass
 keeps one configuration per signed g, the one with the least s (see
 :func:`canonicalize` for why that loses no result).  For each slot the
@@ -33,11 +39,21 @@ import itertools
 from operator import itemgetter
 
 from .label_context import GroupCode, update_context, label_permutation_from_group
-from .signed_perm import CanonResult, SignedPermutation, compose, identity
+# compose is not called here: it stays importable because perfbench's tracer
+# counts calls through ``canon_fast.compose``
+from .signed_perm import CanonResult, SignedPermutation, compose, identity  # noqa: F401
 
 
 def _sign(x):
     return 1 if x > 0 else -1 if x < 0 else 0
+
+
+_IDENTITY = bytes(range(256))
+
+
+def _slots_of(g):
+    """The label -> slot inverse of configuration ``g``: ``_slots_of(g)[g[p - 1]] == p``."""
+    return bytes.maketrans(g, _IDENTITY[1 : len(g) + 1])
 
 
 _NONE, _COMPONENT, _S_DUMMY, _A_DUMMY = GroupCode.NONE, GroupCode.COMPONENT, GroupCode.S_DUMMY, GroupCode.A_DUMMY
@@ -61,14 +77,15 @@ def get_least_value_instances(i, orbit, configs, ctx, prop):
     every later point carrying it reads them.
     """
     n = ctx.n
-    values = ctx.values
+    value_table = ctx.value_table
     least_value = n
     instances = [[] for _ in configs]
     for k, (gi, si, *_) in enumerate(configs):
+        gv = gi.translate(value_table)  # the value of each slot's label
         least = {}  # even family -> (least value, first slot holding it) over slots i..n
         for p in orbit:
             q = p
-            value = values[gi[p - 1]]
+            value = gv[p - 1]
             entry = prop[si[p - 1]]
             if entry != 0 and entry % 2 == 0:
                 found = least.get(entry)
@@ -76,7 +93,7 @@ def get_least_value_instances(i, orbit, configs, ctx, prop):
                     found = (n + 1, 0)  # no value exceeds n, and slot p is in the family
                     for cand, x in enumerate(si[i - 1 : n], i):
                         if prop[x] == entry:
-                            v = values[gi[cand - 1]]
+                            v = gv[cand - 1]
                             if v < found[0]:
                                 found = (v, cand)
                     least[entry] = found
@@ -115,13 +132,15 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
     groups = ctx.groups
     wrote = None  # initial slot -> entry written there
     for p, q in instances:
-        label = g[q - 1]
         sq = s[q - 1]
+        if prop[sq] != 0:
+            continue
+        label = g[q - 1]
         sub = subsets[q]
-        if groups[label] == _NONE or sub == 0 or prop[sq] != 0:
+        if groups[label] == _NONE or sub == 0:
             continue
         if wrote is None:
-            wrote, memo = {}, {}
+            wrote, memo, slot_of = {}, {}, None
         cur = wrote.get(sq, 0)
         if sub in memo:
             entry = memo[sub]
@@ -136,7 +155,9 @@ def update_propagated_symmetries(instances, g, s, ctx, subsets, prop, next_odd):
         wrote[sq] = entry
         if groups[label] in _DUMMY_CODES:
             pentry = _sign(entry) * (abs(entry) + 1)
-            tgt = s[g.index(ctx.partner[label])]  # s at the partner's slot
+            if slot_of is None:
+                slot_of = _slots_of(g)
+            tgt = s[slot_of[ctx.partner[label]] - 1]  # s at the partner's slot
             old = wrote.get(tgt, prop[tgt])
             if old == 0 or abs(pentry) < abs(old):
                 wrote[tgt] = pentry
@@ -192,6 +213,7 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
     pair are each other's partners.
     """
     groups = ctx.groups
+    slot_of = None
     # the propagated family of each slot, slot p at index p-1
     syms = [prop[x] for x in s[:-2]]
     for p, (sym, label) in enumerate(zip(syms, g), 1):
@@ -212,7 +234,9 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                 return True
         if not (group == _S_DUMMY and sym < 0 or group == _A_DUMMY and sym > 0):
             continue
-        q = g.index(ctx.partner[label]) + 1
+        if slot_of is None:
+            slot_of = _slots_of(g)
+        q = slot_of[ctx.partner[label]]
         if q < p and syms[q - 1] == sym:
             return True
     return False
@@ -289,28 +313,35 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     use.
 
     Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked)``:
-    g is translated through ltilde's table, then the result and s are
-    each composed with stilde, except at p == i, whose representative is
-    the identity: there the child shares s.  A child whose label is
-    already in place (p == q, label == ``least_value``) starts from g
-    itself.
+    g is translated through ltilde's table, then the result x and s are
+    each composed with stilde as ``u.translate(b"\\0" + x + tail)``, u
+    being stilde's images and tail the identity on the bytes past the
+    sign pair, so no signed permutation is built per child.  At p == i
+    the representative is the identity, and the child shares s.  A child
+    whose label is already in place (p == q, label == ``least_value``)
+    starts from g itself.  A dummy partner's slot is read from the
+    configuration's label -> slot table, ``bytes.maketrans(g,
+    identity)``, built at its first partner lookup.
     ``checked`` is ``prop``, which this configuration has passed the
     zero check against, or None for a child that took its label through
     an exchange (p != q): such a child must be checked again.
     """
     visited = set()
-    partner = ctx.partner
-    tables = ctx.tables
+    partner, groups, tables = ctx.partner, ctx.groups, ctx.tables
     n = ctx.n
     rep = S.tree(i).rep
+    tail = _IDENTITY[n + 3 :]
+    slot_of = None
     lone = len(instances) == 1  # nothing for it to be redundant with
     for p, q in instances:
         label = g[q - 1]
         if subsets[p] != 0 and not lone:
-            if ctx.groups[label] in _DUMMY_CODES:
-                r = g.index(partner[label])
-                family = prop[s[r]]
-                far = ("fam", family) if family != 0 and family % 2 == 0 else abs(subsets[r + 1])
+            if groups[label] in _DUMMY_CODES:
+                if slot_of is None:
+                    slot_of = _slots_of(g)
+                r = slot_of[partner[label]]
+                family = prop[s[r - 1]]
+                far = ("fam", family) if family != 0 and family % 2 == 0 else abs(subsets[r])
             else:
                 far = -1
             key = (abs(subsets[p]), far)
@@ -336,9 +367,10 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
         if p == i:
             child, child_s = relabelled, s
         else:
-            u = rep(p)
-            child = compose(SignedPermutation(relabelled), u).images
-            child_s = compose(SignedPermutation(s), u).images
+            # x∘u for x = relabelled and x = s: u's images read through x's table
+            u = rep(p).images
+            child = u.translate(b"\0" + relabelled + tail)
+            child_s = u.translate(b"\0" + s + tail)
         out.append((child, child_s, prop if p == q else None))
     return out
 
@@ -371,9 +403,15 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     (``frontend.Registry.products``); a pass reads them as
     ``S.tree(i).rep(p)``.  A child is its parent's g translated through
     the label element's table, then composed, as is its parent's s, with
-    that representative; it shares its parent's s when the
-    representative is the identity.  ``prop`` is replaced, never
-    mutated, and an update that keeps no entry returns it as it was.
+    that representative by one ``bytes.translate`` of its images through
+    the padded parent; it shares its parent's s when the representative
+    is the identity.  Each context's ``value_table`` is built with it, so
+    a scan reads every slot's value in one call, and a configuration's
+    label -> slot table is built at most once per helper call, at its
+    first partner lookup.  A context that is not live is not narrowed:
+    :func:`~tensorcanon.label_context.update_context` would return it as
+    it is.  ``prop`` is replaced, never mutated, and an update that keeps
+    no entry returns it as it was.
 
     A dummy instance is dropped when an instance already kept from the
     same configuration fills the same subset Y and the partners of the
@@ -505,7 +543,8 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
                 if prop is not checked and zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
                     return finish(CanonResult.zero(), counts)
             append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop)
-        ctx = update_context(ctx, least_value)
+        if live:
+            ctx = update_context(ctx, least_value)
         if len(out) == 1:
             configs = out
             counts.append(1)

@@ -16,7 +16,8 @@ A monomial's index labels 1..n are partitioned into classes:
 The :class:`LabelContext` holds three 1-based arrays over labels:
 
 * ``values[x]`` — the least label that x can still be turned into by the
-  remaining relabelling freedom (free labels: themselves);
+  remaining relabelling freedom (free labels: themselves), kept as well
+  as the translate table ``value_table``;
 * ``groups[x]`` — a :class:`GroupCode` describing the kind of exchange
   still available for x;
 * ``partner[x]`` — the other leg of x's dummy pair, or 0 for free and
@@ -84,11 +85,15 @@ class LabelContext:
     unconsumed, so it keeps the group code the layout gave it, and the
     pair table never changes.
 
+    ``value_table`` is ``values`` as a ``bytes.translate`` table:
+    ``g.translate(ctx.value_table)[p - 1] == ctx.values[g[p - 1]]`` for
+    every slot p of a configuration g, so one C-level call reads the
+    value of every slot.  Like ``live``, it is computed once, at
+    construction, which happens once per layout and least value.
     ``live`` is true when some label still has a group code other than
-    ``NONE``, that is, when some label can still be exchanged.  It is
-    computed once, at construction, which happens once per layout and
-    least value.  Narrowing only turns codes into ``NONE``, so every
-    context narrowed from one that is not live is not live either.
+    ``NONE``, that is, when some label can still be exchanged.
+    Narrowing only turns codes into ``NONE``, so every context narrowed
+    from one that is not live is not live either.
     """
 
     def __init__(self, values, groups, partner, tables=None):
@@ -96,6 +101,7 @@ class LabelContext:
         self.groups = groups
         self.partner = partner
         self.n = len(values) - 1
+        self.value_table = bytes(values).ljust(256, b"\0")
         self.live = any(groups)
         self.children = {}
         self.tables = {} if tables is None else tables

@@ -11,8 +11,9 @@ the benchmark families never use.
   without its sign, canonicalizes to itself.
 * The fast engine's shortcut, checked where it is taken: a zero check it
   skips would have passed.
-* The fast engine's least-value scans, propagation updates and
-  narrowed label contexts, against plain references written here.
+* The fast engine's least-value scans, propagation updates, zero checks,
+  appended children and narrowed label contexts, against plain references
+  written here.
 * Passes with no label left to exchange, which skip the propagation
   update and the zero check: forcing both in changes nothing.
 * The zero sweep before the first pass fires where a plain reference
@@ -39,7 +40,7 @@ from tensorcanon.frontend import Registry, build_problem, factor_text, parse, re
 from tensorcanon.label_context import GroupCode, LabelContext, label_permutation_from_group
 from tensorcanon.oracle import brute_force_canonicalize, enumerate_group, enumerate_label_group
 from tensorcanon.perm_group import SchreierTree
-from tensorcanon.signed_perm import SignedPermutation, compose, identity
+from tensorcanon.signed_perm import SignedPermutation, compose, from_signed_cycles, identity
 
 BUNDLES = "bundle a metric=none\nbundle b metric=antisymmetric\nbundle c metric=symmetric"
 
@@ -518,17 +519,77 @@ def reference_narrow(ctx, least_value):
     return values, groups
 
 
+def reference_zero(g, s, ctx, subsets, prop):
+    """The zero check written plainly, each partner's slot found by ``g.index``."""
+    n, groups = ctx.n, ctx.groups
+    syms = [prop[s[p - 1]] for p in range(1, n + 1)]
+    for p in range(1, n + 1):
+        sym, group = syms[p - 1], groups[g[p - 1]]
+        if sym == 0 or group == GroupCode.NONE:
+            continue
+        if group == GroupCode.COMPONENT:
+            if sym < 0:
+                return True
+            continue
+        sub = subsets[p]
+        if sym % 2 == 0 and sub != 0 and (sym > 0) != (sub > 0):
+            if sum(1 for r in range(1, n + 1) if syms[r - 1] == sym and abs(subsets[r]) == abs(sub)) >= 2:
+                return True
+        if group == GroupCode.S_DUMMY and sym < 0 or group == GroupCode.A_DUMMY and sym > 0:
+            q = g.index(ctx.partner[g[p - 1]]) + 1
+            if q < p and syms[q - 1] == sym:
+                return True
+    return False
+
+
+def reference_append(instances, g, s, least_value, S, i, ctx, subsets, prop):
+    """The children of (g, s) built as signed permutations: a fresh
+    ``label_permutation_from_group`` composed with the signed label swap of
+    an exchange, ``compose`` with ``S.tree(i).rep(p)`` even where it is the
+    identity, and ``g.index`` for each partner's slot."""
+    dummies = (GroupCode.S_DUMMY, GroupCode.A_DUMMY, GroupCode.L_DUMMY, GroupCode.U_DUMMY)
+    n = ctx.n
+    visited = set()
+    children = []
+    for p, q in instances:
+        label = g[q - 1]
+        if subsets[p] != 0 and len(instances) > 1:
+            far = -1
+            if ctx.groups[label] in dummies:
+                r = g.index(ctx.partner[label])
+                family = prop[s[r]]
+                far = ("fam", family) if family != 0 and family % 2 == 0 else abs(subsets[r + 1])
+            key = (abs(subsets[p]), far)
+            if key in visited:
+                continue
+            visited.add(key)
+        ell = label_permutation_from_group(ctx, label, least_value)
+        if p != q:
+            swap = from_signed_cycles(n, -1 if prop[s[q - 1]] < 0 else 1, [(label, g[p - 1])])
+            ell = compose(ell, swap)
+        u = S.tree(i).rep(p)
+        child = compose(compose(ell, SignedPermutation(g)), u)
+        children.append((child.images, compose(SignedPermutation(s), u).images, prop if p == q else None))
+    return children
+
+
 def test_updates_match_their_references(monkeypatch):
     """Each least-value scan returns what :func:`reference_least_values`
     does; each propagation update equals :func:`reference_update`, and is its
-    ``prop`` argument exactly when it adds nothing; each narrowed label
-    context, kept or returned as it was, equals :func:`reference_narrow`;
-    and each label table kept for a layout is the one its built context
-    gives."""
+    ``prop`` argument exactly when it adds nothing; each zero check answers
+    as :func:`reference_zero` does, on the mixed problems also with the
+    sweep before the first pass turned off, so that the check meets the
+    zeros that sweep takes; the children each configuration appends
+    are those of :func:`reference_append`, each carrying its parent's
+    ``prop`` object or None; each narrowed label context, kept or returned
+    as it was, equals :func:`reference_narrow`; and each label table kept
+    for a layout is the one its built context gives."""
     least = canon_fast.get_least_value_instances
     update = canon_fast.update_propagated_symmetries
+    zero = canon_fast.zero_due_to_propagated_symmetries
+    append = canon_fast.append_non_redundant_instances
     narrow = canon_fast.update_context
-    counts = {"scans": 0, "exchanges": 0, "updates": 0, "unchanged": 0, "contexts": 0, "frozen": 0, "tables": 0}
+    counts = Counter()
 
     def checked_least(i, orbit, configs, ctx, prop):
         found = least(i, orbit, configs, ctx, prop)
@@ -553,6 +614,25 @@ def test_updates_match_their_references(monkeypatch):
         counts["unchanged"] += new is prop
         return new
 
+    def checked_zero(g, s, ctx, subsets, prop):
+        vanishes = zero(g, s, ctx, subsets, prop)
+        assert vanishes is reference_zero(g, s, ctx, subsets, prop)
+        counts["checks"] += 1
+        counts["zeros"] += vanishes
+        return vanishes
+
+    def checked_append(out, instances, g, s, least_value, S, i, ctx, subsets, prop):
+        before = len(out)
+        append(out, instances, g, s, least_value, S, i, ctx, subsets, prop)
+        children = out[before:]
+        expected = reference_append(instances, g, s, least_value, S, i, ctx, subsets, prop)
+        assert [c[:2] for c in children] == [c[:2] for c in expected]
+        assert all(c[2] is e[2] for c, e in zip(children, expected))
+        counts["children"] += len(children)
+        counts["exchange children"] += sum(c[2] is None for c in children)
+        counts["moved children"] += sum(c[1] != s for c in children)  # non-identity representative
+        return out
+
     def checked_narrow(ctx, least_value):
         new = narrow(ctx, least_value)
         assert (new.values, new.groups) == reference_narrow(ctx, least_value)
@@ -569,17 +649,28 @@ def test_updates_match_their_references(monkeypatch):
 
     monkeypatch.setattr(canon_fast, "get_least_value_instances", checked_least)
     monkeypatch.setattr(canon_fast, "update_propagated_symmetries", checked_update)
+    monkeypatch.setattr(canon_fast, "zero_due_to_propagated_symmetries", checked_zero)
+    monkeypatch.setattr(canon_fast, "append_non_redundant_instances", checked_append)
     monkeypatch.setattr(canon_fast, "update_context", checked_narrow)
     for prob in small_bench_problems():
         prob.canonicalize()
         check_tables(prob.ctx)
+    mixed = []
     for rng, prob, context in mixed_bundle_problems():
         assert_coset_invariant(prob, rng, 3, False, context)
         check_tables(prob.ctx)
+        mixed.append(prob)
+    # with the sweep before the first pass off, the zero rules fire
+    monkeypatch.setattr(canon_fast, "zero_before_search", lambda g, ctx, subsets: False)
+    for prob in mixed:
+        prob.canonicalize()
     assert counts["scans"] > counts["exchanges"] > 0, counts
     assert counts["updates"] > counts["unchanged"] > 0, counts
     assert counts["tables"] > 0, counts
     assert counts["contexts"] > counts["frozen"] > 0, counts
+    assert counts["checks"] > counts["zeros"] > 0, counts
+    assert counts["children"] > counts["moved children"] > 0, counts
+    assert counts["children"] > counts["exchange children"] > 0, counts
 
 
 def test_baseline_label_generators_reach_the_whole_stabilizer(monkeypatch):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensorcanon.bench import FAMILIES, generate
 from tensorcanon.label_context import (
     GroupCode,
     IndexClass,
@@ -281,3 +282,34 @@ def test_label_permutations_are_group_elements_fixing_consumed_labels(classes):
             assert ell[x] == ctx.values[x]
             assert all(ell[y] == y for y in frozen)
         ctx = update_context(ctx, min(ctx.values[x] for x in active))
+
+
+def test_value_tables_read_each_slots_value():
+    # every context the fast engine built or narrowed on the bench
+    # families at sizes 2..6, and each one-step narrowing of the built
+    # one, reads a slot's value through its translate table; a narrowed
+    # context owns its values, groups and children, its value table is
+    # immutable, and only the layout's tables dict is shared
+    checked = 0
+    for family in FAMILIES:
+        for size in range(2, 7):
+            prob = generate(family, size, 0).problem
+            prob.canonicalize()
+            root = prob.ctx
+            n = root.n
+            for x in range(1, n + 1):
+                update_context(root, x)
+            arrangements = (prob.g_init.images, bytes(range(1, n + 3)))
+            stack = [root]
+            while stack:
+                ctx = stack.pop()
+                assert type(ctx.value_table) is bytes and len(ctx.value_table) == 256
+                for g in arrangements:
+                    read = g.translate(ctx.value_table)
+                    assert all(read[p - 1] == ctx.values[g[p - 1]] for p in range(1, n + 1)), (family, size, ctx)
+                for child in ctx.children.values():
+                    assert child.values is not ctx.values and child.groups is not ctx.groups
+                    assert child.children is not ctx.children and child.tables is ctx.tables
+                    stack.append(child)
+                checked += 1
+    assert checked > len(FAMILIES) * 5 * 2, checked
