@@ -1,8 +1,9 @@
 """Cross-checking the engines against exhaustive double-coset search.
 
-The oracle enumerates every element of the slot and label groups and
-takes the lexicographic minimum of l.g.s directly — slow, but an
-independent ground truth for both search engines.
+The oracle enumerates every element of the slot group S and, for each
+s, takes the least l.g.s over the label group by one scan in slot order
+built from the class list: slow, exponential in the slot group's size,
+but an independent ground truth for both search engines.
 """
 
 from tensorcanon.bench import generate, oracle_result, run_case

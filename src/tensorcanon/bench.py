@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 from .canon_baseline import LabelBsgs, butler_portugal
 from .frontend import Registry, parse, build_problem, render, factor_text
+from .oracle import brute_force_canonicalize, enumerate_group
 
 FAMILIES = [
     "sym-frees",
@@ -234,16 +235,11 @@ def result_digest(result, case):
 
 
 def oracle_result(case, cap=10**6):
-    """Brute-force result, or None when the groups are too big."""
-    from .oracle import enumerate_group, enumerate_label_group, brute_force_canonicalize  # loads numpy
-
+    """Brute-force result, or None when the slot group has more than ``cap`` elements."""
     problem = case.problem
-    try:
-        S_enum = enumerate_group(problem.S, cap=cap)
-        L_enum = enumerate_label_group(problem.classes, problem.n, cap=max(1, cap // max(1, len(S_enum))))
-    except ValueError:
+    if problem.S.group_order > cap:
         return None
-    return brute_force_canonicalize(problem.g_init, S_enum, L_enum)
+    return brute_force_canonicalize(problem.g_init, enumerate_group(problem.S, cap=cap), problem.classes)
 
 
 # Engine times below this are mostly interpreter and timer noise: a fit

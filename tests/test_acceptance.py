@@ -192,6 +192,21 @@ def test_oracle_equivalence_bulk():
     assert elapsed < 300, elapsed
 
 
+def test_oracle_past_ten_slots():
+    # the one-sided oracle enumerates S only, so it reaches 16 to 24 slots
+    # where |S| stays small, whatever the size of the label group
+    for family, size in [("riemann", 4), ("riemann", 5), ("pairwise-random", 8), ("pairwise-random", 10),
+                         ("pairwise-frustrated", 8), ("pairwise-frustrated", 10), ("totalsym-many", 3),
+                         ("cyclic-dummies", 12)]:
+        for trial in range(3):
+            case = generate(family, size, trial)
+            assert case.problem.n > 10
+            expected = oracle_result(case)
+            assert expected is not None, (family, size, trial)
+            for engine in ("fast", "baseline"):
+                assert run_case(case, engine)[1] == expected, (family, size, trial, engine)
+
+
 # 4. factorial baseline vs single-configuration fast search
 
 

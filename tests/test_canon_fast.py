@@ -15,7 +15,7 @@ from tensorcanon.canon_fast import (
 )
 from tensorcanon.frontend import Registry, build_problem, factor_text, parse, render
 from tensorcanon.label_context import IndexClass, build
-from tensorcanon.oracle import brute_force_canonicalize, enumerate_group, enumerate_label_group
+from tensorcanon.oracle import brute_force_canonicalize, enumerate_group
 from tensorcanon.signed_perm import MAX_SLOTS, identity
 
 from perm_text import parse_array
@@ -178,7 +178,7 @@ def test_zero_rule_pair_sign_under_metric():
 
 
 def _oracle(prob):
-    return brute_force_canonicalize(prob.g_init, enumerate_group(prob.S), enumerate_label_group(prob.classes, prob.n))
+    return brute_force_canonicalize(prob.g_init, enumerate_group(prob.S), prob.classes)
 
 
 @pytest.mark.parametrize(

@@ -69,9 +69,29 @@ def test_canon_reads_a_declarations_file(tmp_path, capsys):
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy is for the oracle only; the command line should not pay for it
+    # the package has no runtime dependency
     code = "import sys, tensorcanon.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
+
+
+# refuses every numpy import, installed or not
+BLOCK_NUMPY = """
+import sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, BlockNumpy())
+"""
+
+
+def test_oracle_check_runs_with_numpy_blocked():
+    argv = ["oracle-check", "--families", "riemann", "--sizes", "2,4", "--max-slots", "16", "--trials", "1"]
+    code = BLOCK_NUMPY + f"from tensorcanon import cli; sys.exit(cli.main({argv!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "checked 2 instances, 0 mismatches\n", "")
 
 
 # the oracle is independent of the engines, the frontend runs only the fast

@@ -38,7 +38,7 @@ from tensorcanon.bench import FAMILIES, generate
 from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
 from tensorcanon.frontend import Registry, build_problem, factor_text, parse, render
 from tensorcanon.label_context import GroupCode, LabelContext, label_permutation_from_group
-from tensorcanon.oracle import brute_force_canonicalize, enumerate_group, enumerate_label_group
+from tensorcanon.oracle import brute_force_canonicalize, enumerate_group, enumerate_label_group, least_relabelling
 from tensorcanon.perm_group import SchreierTree
 from tensorcanon.signed_perm import SignedPermutation, compose, from_signed_cycles, identity
 
@@ -228,15 +228,32 @@ def test_oracle_fuzz_components_and_metricless_bundles():
     for trial in range(4000):
         decls, expr = random_mixed_problem(rng, 8)
         prob = make_problem(decls, expr)
-        S_enum = enumerate_group(prob.S)
-        L_enum = enumerate_label_group(prob.classes, prob.n)
-        expected = brute_force_canonicalize(prob.g_init, S_enum, L_enum)
+        expected = brute_force_canonicalize(prob.g_init, enumerate_group(prob.S), prob.classes)
         context = (trial, decls, expr)
         assert prob.canonicalize() == expected, context
         assert butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes)) == expected, context
         checked += 1
         zeros += expected.is_zero
     assert checked == 4000 and 0 < zeros < checked
+
+
+def test_least_relabelling_is_the_least_over_the_label_group():
+    # the oracle's one scan in slot order against the minimum over every
+    # enumerated label element, on configurations moved by l∘g∘s
+    rng = random.Random(8)
+    kinds = set()
+    flipped = 0
+    for trial in range(1500):
+        decls, expr = random_mixed_problem(rng, 10)
+        prob = make_problem(decls, expr)
+        ((l, s),) = random_moves(prob, rng, 1)
+        h = compose(l, compose(prob.g_init, s))
+        least = min(compose(x, h) for x in enumerate_label_group(prob.classes, prob.n))
+        assert least_relabelling(h, prob.classes) == least, (trial, decls, expr, h)
+        flipped += least.sign != h.sign
+        kinds.update((c.kind, c.metric) for c in prob.classes)
+    assert {("component", None), ("dummy", "none"), ("dummy", "antisymmetric"), ("dummy", "symmetric")} <= kinds
+    assert flipped > 100, flipped
 
 
 def test_mixed_outputs_recanonicalize_to_themselves():
@@ -697,12 +714,12 @@ def test_baseline_label_generators_reach_the_whole_stabilizer(monkeypatch):
     for prob in problems:
         seen.clear()
         butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes))
-        group = enumerate_label_group(prob.classes, prob.n).array[:, : prob.n]
+        group = [e.images for e in enumerate_label_group(prob.classes, prob.n)]
         for pinned, gens in seen:
-            stabilizer = group[(group[:, [b - 1 for b in pinned]] == pinned).all(axis=1)]
+            stabilizer = [e for e in group if all(e[b - 1] == b for b in pinned)]
             for x in range(1, prob.n + 1):
                 orbit = sorted(SchreierTree(x, gens, prob.n + 2).orbit)
-                assert orbit == sorted(set(stabilizer[:, x - 1].tolist())), (prob.classes, pinned, x)
+                assert orbit == sorted({e[x - 1] for e in stabilizer}), (prob.classes, pinned, x)
             checked += 1
         kinds.update((c.kind, c.metric) for c in prob.classes)
     assert checked > 1000, checked

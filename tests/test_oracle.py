@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tensorcanon import oracle
 from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
 from tensorcanon.frontend import Registry, parse, build_problem
 from tensorcanon.label_context import IndexClass
@@ -21,10 +22,8 @@ def make_problem(decls, expr):
     return build_problem(mono, reg)
 
 
-def enum_problem(prob):
-    S_enum = enumerate_group(prob.S)
-    L_enum = enumerate_label_group(prob.classes, prob.n)
-    return S_enum, L_enum
+def brute_force(prob):
+    return brute_force_canonicalize(prob.g_init, enumerate_group(prob.S), prob.classes)
 
 
 def test_label_group_sizes():
@@ -67,28 +66,40 @@ def test_enumeration_cap():
         enumerate_label_group([IndexClass("component", 8)], 8, cap=1000)
 
 
+def test_label_group_cap_is_checked_before_any_element_is_built(monkeypatch):
+    # eight symmetric-metric pairs, as in riemann k = 4: 8!·2^8 elements,
+    # refused from the class sizes before any option list is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("an element was built")
+
+    monkeypatch.setattr(oracle.itertools, "permutations", refuse)
+    monkeypatch.setattr(oracle.itertools, "product", refuse)
+    with pytest.raises(ValueError, match="label group order 10321920 exceeds cap 1000000"):
+        enumerate_label_group([IndexClass("free", 2), IndexClass("dummy", 8, metric="symmetric")], 18)
+
+
 def test_double_coset_invariance():
     # the brute-force minimum is a class function on L*g*S: conjugating
     # the start configuration by random group elements never changes it
     prob = make_problem(
         "tensor T rank=4 sym=1..2 asym=3..4", "T_{p q}^{q}_{r}"
     )
-    S_enum, L_enum = enum_problem(prob)
-    base = brute_force_canonicalize(prob.g_init, S_enum, L_enum)
+    S_elems = enumerate_group(prob.S)
+    L_elems = enumerate_label_group(prob.classes, prob.n)
+    base = brute_force_canonicalize(prob.g_init, S_elems, prob.classes)
     rng = random.Random(7)
     for _ in range(20):
-        l = rng.choice(L_enum.elements)
-        s = rng.choice(S_enum.elements)
+        l = rng.choice(L_elems)
+        s = rng.choice(S_elems)
         moved = compose(l, compose(prob.g_init, s))
-        assert brute_force_canonicalize(moved, S_enum, L_enum) == base
+        assert brute_force_canonicalize(moved, S_elems, prob.classes) == base
 
 
 def test_oracle_detects_sym_antisym_zero():
     prob = make_problem(
         "tensor M rank=2 sym=1..2\ntensor A rank=2 asym=1..2", "M^{a b} A_{a b}"
     )
-    S_enum, L_enum = enum_problem(prob)
-    assert brute_force_canonicalize(prob.g_init, S_enum, L_enum).is_zero
+    assert brute_force(prob).is_zero
 
 
 def test_oracle_agrees_with_engines_spot_check():
@@ -100,7 +111,6 @@ def test_oracle_agrees_with_engines_spot_check():
     ]
     for decls, expr in cases:
         prob = make_problem(decls, expr)
-        S_enum, L_enum = enum_problem(prob)
-        expected = brute_force_canonicalize(prob.g_init, S_enum, L_enum)
+        expected = brute_force(prob)
         assert prob.canonicalize() == expected, expr
         assert butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes)) == expected, expr
