@@ -28,7 +28,8 @@ Propagated symmetries are recorded per *initial* slot (indexed through
 s) in an array ``prop``: labels known to be mutually exchangeable share
 an odd value; a dummy leg whose partner's exchangeability is implied
 gets the adjacent even value.  Negative entries mark antisymmetric
-exchanges, which both prune and detect vanishing configurations early.
+exchanges.  Both kinds prune; the zeros they could reveal are proved
+once, before the first pass, by :func:`zero_before_search`.
 An entry is a fact about the initial assignment, so every configuration
 may read every entry, whichever configuration recorded it.
 """
@@ -36,7 +37,6 @@ may read every entry, whichever configuration recorded it.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 
 from .label_context import GroupCode, update_context, label_permutation_from_group
 # compose is not called here: it stays importable because perfbench's tracer
@@ -80,7 +80,7 @@ def get_least_value_instances(i, orbit, configs, ctx, prop):
     value_table = ctx.value_table
     least_value = n
     instances = [[] for _ in configs]
-    for k, (gi, si, *_) in enumerate(configs):
+    for k, (gi, si) in enumerate(configs):
         gv = gi.translate(value_table)  # the value of each slot's label
         least = {}  # even family -> (least value, first slot holding it) over slots i..n
         for p in orbit:
@@ -190,27 +190,11 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
     dummy-pair rule fires at the later of the two legs, as a scan in
     slot order would find it.
 
-    The first and the third rule never fire once :func:`zero_before_search`
-    has passed ``g_init``; they stay so that the search proves every zero
-    on its own, which is how the sweep is checked against it (with the
-    sweep off and without them, ``A_{a}^{a}`` and ``A_{1 1}`` under
-    ``asym=1..2`` come out nonzero).  The sweep's condition holds on every
-    point ±l∘h∘s of a double coset alike: s ∈ S maps each detected subset
-    onto one of the same sign, and l keeps classes, pairs and metrics.
-    Every configuration is such a point of ``g_init``, an exchange child
-    (p != q) too, whose swap is a label element after a transposition in
-    S (see :func:`canonicalize`).  And the condition holds on g wherever
-    either rule fires.  Slot p holds a label of the class ``g_init``
-    holds at s[p], as label elements and exchanges keep classes.  An odd
-    family was written at s'(Q), two slots or more, for slots Q holding
-    labels of one class in one detected subset Y' of some (g', s'), with
-    Y''s sign; so g holds it at slots of the detected subset
-    s⁻¹(s'(Y')), with labels of that class: for the first rule two
-    component labels in an antisymmetric subset, for the third both
-    legs.  An even family
-    licenses exchanging the labels at its slots by transposing their
-    partners' slots inside one subset of its sign, and two legs of one
-    pair are each other's partners.
+    The engine does not call this check: wherever a rule would fire,
+    :func:`zero_before_search` has proved ``g_init`` zero (see there).
+    It stays unchanged because perfbench's tracer wraps it by name and
+    the invariance tests' audit runs it after every propagation update.
+    It goes with the tracer's per-helper wrappers, like ``compose``.
     """
     groups = ctx.groups
     slot_of = None
@@ -243,27 +227,53 @@ def zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
 
 
 def zero_before_search(g, ctx, subsets):
-    """True when one detected subset of ``g`` already proves it zero.
+    """True when the detected subsets of ``g`` already prove it zero.
 
     ``g`` is the label at each slot, slot p at index p-1, and ``ctx``
-    the context it is read against.  The sweep fires when two slots p
-    and q of one detected subset Y hold labels that a label element μ
-    exchanges with the sign opposite Y's: both legs of a dummy pair (a
-    symmetric-metric pair in an antisymmetric Y, an antisymmetric-metric
-    pair in a symmetric one; a pair without a metric has no leg swap),
-    or two labels of one component class (equal value) when Y is
-    antisymmetric.  The transposition τ = (p q) lies in S with Y's sign,
-    so μ∘g∘τ = -g, the double coset holds ±g, and the canonical form is
-    0.  A layout with no antisymmetric subset and no antisymmetric-metric
-    pair has nothing to fire on, and is passed over in two C-level scans.
+    the context it is read against.  Each case gives a τ ∈ S and a label
+    element μ of opposite signs with μ∘g∘τ = g up to sign, so the double
+    coset holds ±g and the canonical form is 0:
+
+    1. both legs of a dummy pair in one detected subset Y whose sign
+       differs from the leg swap μ's (a symmetric metric in an
+       antisymmetric Y, an antisymmetric one in a symmetric Y; a pair
+       without a metric has no leg swap), τ the legs' transposition;
+    2. two labels of one component class (equal value) in an
+       antisymmetric Y, τ their transposition;
+    3. two dummy pairs of one class with legs in the same two detected
+       subsets Y and Y' of opposite sign, the lower legs in one subset
+       when the bundle has no metric.  τ, the transposition of the two
+       legs in Y times that of the two in Y', has sign -1.  μ exchanges
+       the pairs with sign +1: crossing both pairs' legs, when they lie
+       in opposite order, costs (-1)² under an antisymmetric metric.
+
+    Each case holds on every point ±l∘g∘s of the double coset alike: s ∈
+    S maps each detected subset onto one of the same sign, and l keeps
+    classes, pairs and metrics.  Every configuration (g, s) of the
+    search is such a point of ``g_init``, an exchange child too, whose
+    swap is a label element after a transposition in S (see
+    :func:`canonicalize`).  So the sweep on ``g_init`` proves every zero
+    that a rule of :func:`zero_due_to_propagated_symmetries` proves at a
+    configuration.  An odd family was written at initial slots s'(Q) for
+    slots Q of a detected subset Y' holding labels of one class at some
+    (g', s'), with Y''s sign, and g holds labels of that class at their
+    slots s⁻¹(s'(Q)), in one detected subset of that sign.  Where the
+    first rule fires, case 2 holds; where the third does, case 1.  An
+    even family marks those labels' partners, and labels of one class
+    that share a value are, without a metric, all lower or all upper
+    legs.  Where the second rule finds two partners of one even family
+    in a subset of the other sign, case 3 holds.
+
+    A layout with no antisymmetric subset and no antisymmetric-metric
+    pair is passed over at once, and case 3 needs subsets of both signs.
     """
     groups = ctx.groups
-    if min(subsets) >= 0 and _A_DUMMY not in groups:
+    lo, hi = min(subsets), max(subsets)
+    if lo >= 0 and _A_DUMMY not in groups:
         return False
     values, partner = ctx.values, ctx.partner
-    # (subset, pair or class) met so far: a pair is keyed by the sum of
-    # its legs, which no other pair shares, and a component class by its
-    # value negated
+    # cases 1 and 2: (subset, pair or class) met so far, a pair keyed by the
+    # sum of its legs, unique to it, and a component class by -value
     seen = set()
     for label, sub in zip(g, subsets[1:]):
         if sub < 0:
@@ -281,6 +291,17 @@ def zero_before_search(g, ctx, subsets):
         if key in seen:
             return True
         seen.add(key)
+    if lo < 0 < hi:
+        # case 3: each pair met from its leg in a symmetric subset, keyed by that
+        # leg's value (a metric-less pair's legs differ in it) and both subsets
+        where = {label: sub for label, sub in zip(g, subsets[1:]) if sub and groups[label] in _DUMMY_CODES}
+        for label, sub in where.items():
+            other = where.get(partner[label], 0)
+            if sub > 0 > other:
+                key = (values[label], sub, other)
+                if key in seen:
+                    return True
+                seen.add(key)
     return False
 
 
@@ -289,7 +310,8 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
 
     Instances landing in an already-visited symmetric subset are skipped:
     the subset symmetry maps them onto the kept representative (possibly
-    up to a sign, in which case the zero check has already had its say).
+    up to a sign, in which case :func:`zero_before_search` has already
+    proved the monomial zero).
     Two instances are only mutually redundant when the labels they
     supply are exchangeable as labels, and for dummy legs that requires
     their partners to be exchangeable too — swapping the pairs drags
@@ -312,7 +334,7 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     i's coset representative for p, which the tree keeps from its first
     use.
 
-    Each child is appended as ``(ltilde∘g∘stilde, s∘stilde, checked)``:
+    Each child is appended as ``(ltilde∘g∘stilde, s∘stilde)``:
     g is translated through ltilde's table, then the result x and s are
     each composed with stilde as ``u.translate(b"\\0" + x + tail)``, u
     being stilde's images and tail the identity on the bytes past the
@@ -322,9 +344,6 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     starts from g itself.  A dummy partner's slot is read from the
     configuration's label -> slot table, ``bytes.maketrans(g,
     identity)``, built at its first partner lookup.
-    ``checked`` is ``prop``, which this configuration has passed the
-    zero check against, or None for a child that took its label through
-    an exchange (p != q): such a child must be checked again.
     """
     visited = set()
     partner, groups, tables = ctx.partner, ctx.groups, ctx.tables
@@ -371,7 +390,7 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
             u = rep(p).images
             child = u.translate(b"\0" + relabelled + tail)
             child_s = u.translate(b"\0" + s + tail)
-        out.append((child, child_s, prop if p == q else None))
+        out.append((child, child_s))
     return out
 
 
@@ -382,36 +401,30 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     ``ctx`` the initial :class:`~tensorcanon.label_context.LabelContext`
     and ``subsets`` the slot array of
     :func:`~tensorcanon.perm_group.detect_symmetric_subsets`, which the
-    helpers index directly.  When ``S.has_minus_one`` the result is zero
-    at once, and ``subsets`` is not read.  ``trace``, if given, is a dict
-    that receives ``configs_per_slot`` (configuration counts after each
-    slot pass) and ``max_configs``.
+    helpers index directly.  ``trace``, if given, is a dict that
+    receives ``configs_per_slot`` (configuration counts after each slot
+    pass) and ``max_configs``.
 
-    The result is also zero at once, with ``configs_per_slot`` empty,
-    when :func:`zero_before_search` proves ``g_init`` zero.
+    The result is zero at once, with ``configs_per_slot`` empty, when
+    ``S.has_minus_one`` (``subsets`` is then not read) or when
+    :func:`zero_before_search` proves ``g_init`` zero.  That sweep
+    settles every zero the propagated symmetries could reveal (see
+    there), so the search's only zero test is the scan after each pass
+    for +g and -g side by side, and a configuration is (g, s) alone.
 
     Work that repeats across configurations, passes and monomials is
-    done once.  ``ctx`` is shared by every monomial of its class layout
-    (``frontend.Registry.contexts``): narrowing it after a pass returns
-    the context built the first time, and the translation table of each
-    ``label_permutation_from_group(ctx, label, least_value)`` is built
-    once per layout and kept in ``ctx.tables`` (see
-    :class:`~tensorcanon.label_context.LabelContext`).  Coset
-    representatives are built once per chain and kept on its trees (see
-    :class:`~tensorcanon.perm_group.SchreierTree`), and every monomial
-    of one product of declarations shares that chain
-    (``frontend.Registry.products``); a pass reads them as
-    ``S.tree(i).rep(p)``.  A child is its parent's g translated through
-    the label element's table, then composed, as is its parent's s, with
-    that representative by one ``bytes.translate`` of its images through
-    the padded parent; it shares its parent's s when the representative
-    is the identity.  Each context's ``value_table`` is built with it, so
-    a scan reads every slot's value in one call, and a configuration's
-    label -> slot table is built at most once per helper call, at its
-    first partner lookup.  A context that is not live is not narrowed:
-    :func:`~tensorcanon.label_context.update_context` would return it as
-    it is.  ``prop`` is replaced, never mutated, and an update that keeps
-    no entry returns it as it was.
+    done once.  ``ctx``, its narrowings and the label elements' tables
+    in ``ctx.tables`` serve every monomial of its class layout
+    (``frontend.Registry.contexts``; see
+    :class:`~tensorcanon.label_context.LabelContext`), and coset
+    representatives, kept on the trees of a chain (see
+    :class:`~tensorcanon.perm_group.SchreierTree`), every monomial of one
+    product of declarations (``frontend.Registry.products``).  Children
+    are built by ``bytes.translate`` (see
+    :func:`append_non_redundant_instances`).  A context that is not live
+    is not narrowed: :func:`~tensorcanon.label_context.update_context`
+    would return it as it is.  ``prop`` is replaced, never mutated, and
+    an update that keeps no entry returns it as it was.
 
     A dummy instance is dropped when an instance already kept from the
     same configuration fills the same subset Y and the partners of the
@@ -466,7 +479,7 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
       together.  Either is a fact about ``g_init`` that every
       configuration reads through its own s.  So with fewer
       configurations the search still reaches only points of
-      ±L·g_init·S, and the zero check still fires only on true facts.
+      ±L·g_init·S, and it still prunes only on true facts.
       A merge could only miss something: a smaller candidate, or a
       zero.
     * The pass that merges sees the same candidates.  Its kept list
@@ -488,33 +501,18 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
     step is checked, not proven.  Each of the 179 configurations merged
     away on the inputs listed above was processed right after its kept
     twin, against the same ``prop``.  Each gave the twin's least value
-    and children, recorded no new entry and passed the zero check.  The
-    oracle and double-coset tests pin the outputs.
-
-    Each child also carries the ``prop`` array its parent passed the
-    zero check against, and its own check is skipped while ``prop`` is
-    still that object, except for children that took their label
-    through an exchange (p != q).  That is sound because such a child
-    is ltilde∘g∘stilde with ltilde a label element, seen through
-    s∘stilde: its family and label at slot p are the parent's at
-    stilde(p), moved by ltilde, which keeps class, group code and
-    pairs.  stilde ∈ S maps each detected subset onto a detected subset
-    of the same sign, and narrowing the context only turns labels into
-    NONE.  So no rule can fire on the child unless it fired on the
-    parent, which passed.  An exchange child is not of that form: its
-    swap of two labels comes from a propagated slot symmetry, not from
-    the label group, so it is checked again.
+    and children, recorded no new entry and met none of the zero rules
+    of :func:`zero_due_to_propagated_symmetries`.  The oracle and
+    double-coset tests pin the outputs.
 
     A pass whose context is not live (``ctx.live`` false: every label's
-    group code is ``NONE``) runs neither the propagation update nor the
-    zero check, because both are no-ops there.  The update writes only
-    for an instance whose supplied label has a code other than ``NONE``,
-    so it writes nothing and returns ``prop`` itself.  Every zero rule
-    fires only at a slot whose label has such a code, so the check
-    returns False, for an exchange child too.  Narrowing never turns a
-    code back from ``NONE``, so every later pass is frozen as well: the
-    search ends without another update or check, and ``prop`` is what
-    the last live pass left.
+    group code is ``NONE``) runs no propagation update, because it is a
+    no-op there: the update writes only for an instance whose supplied
+    label has a code other than ``NONE``, so it writes nothing and
+    returns ``prop`` itself.  Narrowing never turns a code back from
+    ``NONE``, so every later pass is frozen as well: the search ends
+    without another update, and ``prop`` is what the last live pass
+    left.
     """
     n = ctx.n
 
@@ -528,20 +526,18 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
         return finish(CanonResult.zero(), [])
     prop = [0] * (n + 1)
     next_odd = itertools.count(1, 2).__next__
-    configs = [(g_init.images, identity(n).images, None)]
+    configs = [(g_init.images, identity(n).images)]
     counts = []
     for i in range(1, n + 1):
         orbit = S.orbit_of(i)
         least_value, instances = get_least_value_instances(i, orbit, configs, ctx, prop)
         live = ctx.live
         out = []
-        for (g, s, checked), inst in zip(configs, instances):
+        for (g, s), inst in zip(configs, instances):
             if not inst:
                 continue
             if live:
                 prop = update_propagated_symmetries(inst, g, s, ctx, subsets, prop, next_odd)
-                if prop is not checked and zero_due_to_propagated_symmetries(g, s, ctx, subsets, prop):
-                    return finish(CanonResult.zero(), counts)
             append_non_redundant_instances(out, inst, g, s, least_value, S, i, ctx, subsets, prop)
         if live:
             ctx = update_context(ctx, least_value)
@@ -549,12 +545,8 @@ def canonicalize(g_init, S, ctx, subsets, trace=None):
             configs = out
             counts.append(1)
             continue
-        out.sort(key=itemgetter(0, 1))
-        configs = []
-        for c in out:
-            if configs and configs[-1][0] == c[0]:
-                continue
-            configs.append(c)
+        out.sort()
+        configs = [next(twins) for _g, twins in itertools.groupby(out, key=lambda c: c[0])]
         counts.append(len(configs))
         for a, b in zip(configs, configs[1:]):
             # kept arrangements are distinct, so equal slots mean opposite signs

@@ -20,15 +20,22 @@ _METRICS = ("symmetric", "antisymmetric")
 
 
 def enumerate_group(bsgs, cap=10**6):
-    """Every element of a Bsgs group, as transversal products, in a list."""
+    """Every element of a Bsgs group as transversal products, walked depth-first:
+    one ``compose`` per node of the product tree, only the path and the last
+    level's products alive.  ``cap`` is checked first; ``list`` it to reuse it."""
     if bsgs.group_order > cap:
         raise ValueError(f"group order {bsgs.group_order} exceeds cap {cap}")
-    elems = [identity(bsgs.n)]
-    for level in range(bsgs.degree, 0, -1):
-        tree = bsgs.tree(level)
-        if len(tree) > 1:
-            elems = [compose(u, h) for u in map(tree.rep, tree.orbit) for h in elems]
-    return elems
+    levels = [list(map(tree.rep, tree.orbit)) for tree in map(bsgs.tree, range(1, bsgs.degree + 1)) if len(tree) > 1]
+    last = levels.pop() if levels else [identity(bsgs.n)]
+
+    def walk(prefix, depth):
+        if depth == len(levels):
+            yield [compose(prefix, u) for u in last]
+        else:
+            for u in levels[depth]:
+                yield from walk(compose(prefix, u), depth + 1)
+
+    return itertools.chain.from_iterable(walk(identity(bsgs.n), 0))
 
 
 def enumerate_label_group(classes, n, cap=10**6):
@@ -139,7 +146,8 @@ def least_relabelling(h, classes):
 
 def brute_force_canonicalize(g, S_elems, classes):
     """The least l∘g∘s over the label group of ``classes`` and the slot
-    elements ``S_elems``: the least scan result, zero when it comes with both signs."""
+    elements ``S_elems``, any iterable, read once: the least scan result,
+    zero when it comes with both signs."""
     scan = _scanner(classes, g.degree)
     best, signs = None, set()
     for s in S_elems:

@@ -138,7 +138,7 @@ def test_even_family_tie_goes_to_its_first_slot():
     # of them supplies the label
     ctx = build([IndexClass("dummy", 1, "symmetric"), IndexClass("free", 1)])
     g, s = bytes([3, 1, 2, 4, 5]), bytes([1, 2, 3, 4, 5])
-    assert get_least_value_instances(1, [1], [(g, s, None)], ctx, [0, 2, 2, 2]) == (1, [[(1, 2)]])
+    assert get_least_value_instances(1, [1], [(g, s)], ctx, [0, 2, 2, 2]) == (1, [[(1, 2)]])
 
 
 def _zero_check(prob, entries):
@@ -187,13 +187,23 @@ def _oracle(prob):
         ("tensor A rank=3 asym=1..3", "A_{b a}^{a}"),
         ("bundle m metric=antisymmetric\ntensor T rank=3 sym=1..3", "T_{x m1}^{m1}"),
         ("tensor A rank=3 asym=1..3", "A_{1 x 1}"),
+        ("tensor A rank=2 asym=1..2", "A_{1 1}"),
+        ("tensor A rank=2 asym=1..2", "A_{a}^{a}"),
+        ("bundle m metric=antisymmetric\ntensor T rank=2 sym=1..2", "T_{m1}^{m1}"),
+        ("tensor M rank=2 sym=1..2\ntensor A rank=2 asym=1..2", "M^{a b} A_{a b}"),
+        ("bundle m metric=antisymmetric\ntensor M rank=2 sym=1..2\ntensor A rank=2 asym=1..2", "M^{m1}_{m2} A_{m1}^{m2}"),
+        ("bundle n metric=none\ntensor M rank=3 sym=1..3\ntensor A rank=2 asym=1..2", "M^{n1 x n2} A_{n1 n2}"),
     ],
-    ids=["symmetric-metric-pair-in-asym", "antisymmetric-metric-pair-in-sym", "equal-numerals-in-asym"],
+    ids=[
+        "symmetric-metric-pair-in-asym", "antisymmetric-metric-pair-in-sym", "equal-numerals-in-asym",
+        "smallest-equal-numerals-in-asym", "smallest-symmetric-metric-pair-in-asym", "smallest-antisymmetric-metric-pair-in-sym",
+        "two-symmetric-metric-pairs-across-sym-and-asym", "two-antisymmetric-metric-pairs-crossed", "two-metricless-pairs",
+    ],
 )
 def test_zero_before_the_first_pass(decls, expr):
-    # τ, the transposition of the two slots, and the label element
-    # exchanging their labels carry opposite signs, so the double coset
-    # holds ±g_init and no pass runs
+    # τ ∈ S, the transposition of two slots or the product of two, and the
+    # label element exchanging their labels carry opposite signs, so the
+    # double coset holds ±g_init and no pass runs
     _, _, prob = make_problem(decls, expr)
     assert canon_fast.zero_before_search(prob.g_init.images, prob.ctx, prob.subsets)
     trace = {}
@@ -205,42 +215,16 @@ def test_zero_before_the_first_pass(decls, expr):
 @pytest.mark.parametrize(
     "decls, expr",
     [
-        ("tensor A rank=2 asym=1..2", "A_{1 1}"),
-        ("tensor A rank=2 asym=1..2", "A_{a}^{a}"),
-        ("bundle m metric=antisymmetric\ntensor T rank=2 sym=1..2", "T_{m1}^{m1}"),
-    ],
-    ids=["equal-numerals-in-asym", "symmetric-metric-pair-in-asym", "antisymmetric-metric-pair-in-sym"],
-)
-def test_search_alone_proves_the_smallest_sweep_zeros(monkeypatch, decls, expr):
-    # the sweep settles these before the first pass, so no zero rule is
-    # reached; with the sweep off, the first or the third zero rule
-    # proves them in the search, which without those rules would print
-    # them nonzero
-    _, _, prob = make_problem(decls, expr)
-    trace = {}
-    assert prob.canonicalize(trace=trace).is_zero and trace["configs_per_slot"] == []
-    checks = []
-
-    def recorded(*args):
-        checks.append(zero_due_to_propagated_symmetries(*args))
-        return checks[-1]
-
-    monkeypatch.setattr(canon_fast, "zero_before_search", lambda g, ctx, subsets: False)
-    monkeypatch.setattr(canon_fast, "zero_due_to_propagated_symmetries", recorded)
-    assert prob.canonicalize().is_zero
-    assert checks and checks[-1], checks
-
-
-@pytest.mark.parametrize(
-    "decls, expr",
-    [
         ("bundle n metric=none\ntensor A rank=3 asym=1..3", "A_{x n1}^{n1}"),
         ("tensor A rank=4 asym=1..2 asym=3..4", "A_{a x}^{a y}"),
         ("tensor A rank=3 asym=1..3", "A_{1 x 2}"),
         ("tensor T rank=3 sym=1..3", "T_{x a}^{a}"),
         ("bundle m metric=antisymmetric\ntensor A rank=3 asym=1..3", "A_{x m1}^{m1}"),
+        ("tensor A rank=2 asym=1..2", "A^{a b} A_{a b}"),
+        ("bundle n metric=none\ntensor M rank=2 sym=1..2\ntensor A rank=2 asym=1..2", "M^{n1}_{n2} A_{n1}^{n2}"),
     ],
-    ids=["metricless-pair-in-asym", "legs-in-two-subsets", "distinct-numerals", "signs-agree-sym", "signs-agree-asym"],
+    ids=["metricless-pair-in-asym", "legs-in-two-subsets", "distinct-numerals", "signs-agree-sym", "signs-agree-asym",
+         "two-pairs-across-subsets-of-one-sign", "two-metricless-pairs-crossed"],
 )
 def test_no_zero_before_the_first_pass_for_the_twins(decls, expr):
     _, _, prob = make_problem(decls, expr)
@@ -372,30 +356,6 @@ def test_propagated_jump_outside_orbit():
     )
     result = prob.canonicalize()
     assert render(result, mono, reg) == "T_{a b c d e f} U^{c d e f g h}"
-
-
-def test_exchange_children_are_checked_again(monkeypatch):
-    # a child that takes its label through an exchange with another slot
-    # (p != q) carries no passed check, so its zero check runs; a child
-    # built in place carries the prop its parent passed
-    append = canon_fast.append_non_redundant_instances
-    markers = {True: [], False: []}
-
-    def recorded(out, instances, g, s, least_value, S, i, ctx, subsets, prop, *rest):
-        before = len(out)
-        append(out, instances, g, s, least_value, S, i, ctx, subsets, prop, *rest)
-        exchanges = {p != q for p, q in instances}
-        if len(exchanges) == 1:
-            markers[exchanges.pop()] += [c[2] is prop if c[2] is not None else None for c in out[before:]]
-        return out
-
-    monkeypatch.setattr(canon_fast, "append_non_redundant_instances", recorded)
-    _, _, prob = make_problem("tensor T rank=6 sym=3..6\ntensor U rank=6", "T_{a b c d e f} U^{e d f c g h}")
-    prob.canonicalize()
-    for trial in range(8):
-        generate("riemann", 4, trial).problem.canonicalize()
-    assert markers[True] and set(markers[True]) == {None}
-    assert markers[False] and set(markers[False]) == {True}
 
 
 def test_frees_only_monomial_runs_no_update_or_zero_check(monkeypatch):

@@ -15,6 +15,17 @@ def test_canon_prints_result(capsys):
     assert capsys.readouterr().out == "-A_{1 2}\n"
 
 
+def test_two_pairs_across_subsets_of_opposite_sign_print_zero(capsys):
+    # the sweep's third case under a symmetric, no and an antisymmetric
+    # metric, and its twins: two pairs across subsets of one sign, and
+    # metric-less pairs whose lower legs lie in different subsets
+    argv = ["canon", "--engine", "both", "--declare", "bundle n metric=none", "--declare", "bundle m metric=antisymmetric",
+            "--declare", "tensor M rank=2 sym=1..2", "--declare", "tensor A rank=2 asym=1..2",
+            "M^{a b} A_{a b}", "A^{a b} A_{a b}", "M^{n1}_{n2} A_{n1}^{n2}", "M^{n1 n2} A_{n1 n2}", "M^{m1}_{m2} A_{m1}^{m2}"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "0\nA^{a b} A_{a b}\n-M_{n1}^{n2} A^{n1}_{n2}\n0\n0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["canon", "--declare", "tensor T rank=x", "T_{a}"],
     ["canon", "--declare", "tensor T rank=2", "T_{a}"],

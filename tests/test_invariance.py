@@ -9,16 +9,20 @@ the benchmark families never use.
   or none at all, at n <= 8, against the brute-force oracle.
 * Mixed fuzz outputs are fixed points: each non-zero output, re-parsed
   without its sign, canonicalizes to itself.
-* The fast engine's shortcut, checked where it is taken: a zero check it
-  skips would have passed.
-* The fast engine's least-value scans, propagation updates, zero checks,
-  appended children and narrowed label contexts, against plain references
-  written here.
+* The audit of the zero sweep before the first pass: after every
+  propagation update of the search, no rule of
+  ``zero_due_to_propagated_symmetries`` fires on the updated
+  configuration, which answers as a plain reference does.
+* The fast engine's least-value scans, propagation updates, appended
+  children and narrowed label contexts, against plain references written
+  here.
 * Passes with no label left to exchange, which skip the propagation
-  update and the zero check: forcing both in changes nothing.
-* The zero sweep before the first pass fires where a plain reference
-  does, the full search finds each zero it finds, and turning it off
-  changes no output.
+  update: forcing it in changes nothing.
+* The zero sweep before the first pass fires where a plain reference of
+  its three cases does, each case under every metric, and wherever it
+  fires the oracle gives zero.
+* A zero leaves an empty trace exactly when it was proved before any
+  pass.
 * One Registry shared by the mixed monomials gives the outputs of a
   fresh Registry per monomial.
 * The baseline's filtered label generators: at every pass they reach
@@ -28,10 +32,9 @@ Every test is seeded, so a failure reproduces.
 """
 
 import dataclasses
+import itertools
 import random
 from collections import Counter
-
-import pytest
 
 from tensorcanon import canon_fast
 from tensorcanon.bench import FAMILIES, generate
@@ -194,6 +197,15 @@ def test_double_coset_invariance_on_mixed_bundles():
     assert {("component", None), ("dummy", "none"), ("dummy", "antisymmetric")} <= kinds
 
 
+def mixed_problems_with_moves():
+    """Each mixed-bundle problem, then the three moves of it that the
+    invariance test draws."""
+    for rng, prob, _context in mixed_bundle_problems():
+        yield prob
+        for l, s in random_moves(prob, rng, 3):
+            yield dataclasses.replace(prob, g_init=compose(l, compose(prob.g_init, s)))
+
+
 def test_shared_registry_matches_a_fresh_one_per_mixed_monomial():
     # the mixed monomials in shuffled order, each declared and parsed in
     # one Registry, whose label contexts every monomial of a class layout
@@ -303,6 +315,18 @@ def random_symmetric_product(rng, ranks):
     return "\n".join(decls), " ".join(parts)
 
 
+def symmetric_product_problems(count=400):
+    """``count`` seeded products of 2..5 factors of rank 2..6, each followed
+    by two random moves of it."""
+    rng = random.Random(12)
+    for _ in range(count):
+        ranks = [rng.randint(2, 6) for _ in range(rng.randint(2, 5))]
+        prob = make_problem(*random_symmetric_product(rng, ranks))
+        yield prob
+        for l, s in random_moves(prob, rng, 2):
+            yield dataclasses.replace(prob, g_init=compose(l, compose(prob.g_init, s)))
+
+
 def test_products_of_symmetric_factors():
     # three to five factors: the engines agree up to 14 slots, and from 40
     # to 66 slots, where the baseline cannot follow, the fast engine's
@@ -333,66 +357,43 @@ def small_bench_problems():
                 yield generate(family, size, trial).problem
 
 
-@pytest.fixture
-def skipped_zero_checks(monkeypatch):
-    """Run each zero check the fast engine skips, and count them.
-
-    The engine skips a configuration's check when ``prop`` is still the
-    array its parent passed.  In a pass whose context is live, every
-    configuration is updated just before its check would run, so an
-    update that no check follows, before the next update or the end of
-    the search, marks a skipped check; it is run here on the updated
-    array and must find no zero.  A pass whose context is not live runs
-    neither, so no check it skips is seen here:
-    :func:`test_frozen_passes_skip_only_no_ops` covers those passes.
-    """
+def test_no_propagated_zero_rule_fires_in_the_search(monkeypatch):
+    """After every propagation update, no rule of
+    ``zero_due_to_propagated_symmetries`` fires on the updated
+    configuration: the sweep before the first pass has settled every zero
+    they prove, so the engine does not run them.  Each answer equals
+    :func:`reference_zero`'s; with the sweep off, the rules do fire, so
+    the audit would see a zero the sweep missed."""
     update = canon_fast.update_propagated_symmetries
     zero = canon_fast.zero_due_to_propagated_symmetries
-    pending = []
-    counts = {"skipped": 0, "run": 0}
-
-    def settle():
-        if pending:
-            args = pending.pop()
-            assert not zero(*args), args
-            counts["skipped"] += 1
+    counts = Counter()
 
     def audited_update(instances, g, s, ctx, subsets, prop, next_odd):
-        settle()
         new = update(instances, g, s, ctx, subsets, prop, next_odd)
-        pending.append((g, s, ctx, subsets, new))
+        vanishes = zero(g, s, ctx, subsets, new)
+        assert vanishes is reference_zero(g, s, ctx, subsets, new)
+        counts["updates"] += 1
+        counts["recorded"] += new is not prop
+        counts["fired"] += vanishes
         return new
 
-    def audited_zero(*args):
-        pending.clear()
-        counts["run"] += 1
-        return zero(*args)
-
     monkeypatch.setattr(canon_fast, "update_propagated_symmetries", audited_update)
-    monkeypatch.setattr(canon_fast, "zero_due_to_propagated_symmetries", audited_zero)
-    yield counts, settle
-
-
-def test_skipped_zero_checks_find_no_zero(skipped_zero_checks):
-    counts, settle = skipped_zero_checks
-    for prob in small_bench_problems():
+    mixed = list(mixed_problems_with_moves())
+    for prob in [*small_bench_problems(), *mixed, *symmetric_product_problems()]:
         prob.canonicalize()
-        settle()
-    for rng, prob, context in mixed_bundle_problems():
-        assert_coset_invariant(prob, rng, 3, False, context)
-        settle()
-    assert counts["skipped"] > counts["run"] > 0, counts
+        assert counts["fired"] == 0, (prob.classes, prob.g_init)
+    assert counts["updates"] > counts["recorded"] > 0, counts
+    monkeypatch.setattr(canon_fast, "zero_before_search", lambda g, ctx, subsets: False)
+    for prob in mixed:
+        prob.canonicalize()
+    assert counts["fired"] > 0, counts
 
 
 def test_frozen_passes_skip_only_no_ops(monkeypatch):
-    """Forcing the propagation update and the zero check into every pass
-    changes no output and no configuration count, and in a context that
-    is not live each forced call is a no-op: the update returns ``prop``
-    itself and the check returns False."""
-    problems = list(small_bench_problems())
-    for rng, prob, _context in mixed_bundle_problems():
-        problems.append(prob)
-        problems += [dataclasses.replace(prob, g_init=compose(l, compose(prob.g_init, s))) for l, s in random_moves(prob, rng, 3)]
+    """Forcing the propagation update into every pass changes no output
+    and no configuration count, and in a context that is not live each
+    forced update is a no-op: it returns ``prop`` itself."""
+    problems = [*small_bench_problems(), *mixed_problems_with_moves()]
 
     def run():
         runs = []
@@ -403,8 +404,7 @@ def test_frozen_passes_skip_only_no_ops(monkeypatch):
 
     shipped = run()
     update = canon_fast.update_propagated_symmetries
-    zero = canon_fast.zero_due_to_propagated_symmetries
-    frozen = {"updates": 0, "checks": 0}
+    frozen = {"updates": 0}
 
     def forced_update(instances, g, s, ctx, subsets, prop, next_odd):
         new = update(instances, g, s, ctx, subsets, prop, next_odd)
@@ -413,25 +413,20 @@ def test_frozen_passes_skip_only_no_ops(monkeypatch):
             frozen["updates"] += 1
         return new
 
-    def forced_zero(g, s, ctx, subsets, prop):
-        vanishes = zero(g, s, ctx, subsets, prop)
-        if not any(ctx.groups):
-            assert vanishes is False
-            frozen["checks"] += 1
-        return vanishes
-
     # a property on the class overrides the flag each context sets on itself
     monkeypatch.setattr(LabelContext, "live", property(lambda self: True, lambda self, value: None), raising=False)
     monkeypatch.setattr(canon_fast, "update_propagated_symmetries", forced_update)
-    monkeypatch.setattr(canon_fast, "zero_due_to_propagated_symmetries", forced_zero)
     assert run() == shipped
-    assert frozen["updates"] > frozen["checks"] > 0, frozen
+    assert frozen["updates"] > 0, frozen
 
 
 def reference_zero_before_search(prob):
-    """The sweep's two cases over every pair of slots of one subset: the
-    group code of the first pair of labels that fires, or None."""
+    """The sweep's three cases tested plainly, as the set of (case, group
+    code) that fire: every two slots of one subset for cases 1 and 2, and
+    every two dummy pairs of one class, read from ``prob.classes``, for
+    case 3."""
     g, ctx, subsets = prob.g_init.images, prob.ctx, prob.subsets
+    fired = set()
     for p in range(1, prob.n + 1):
         for q in range(p + 1, prob.n + 1):
             if subsets[p] == 0 or subsets[q] != subsets[p]:
@@ -440,31 +435,57 @@ def reference_zero_before_search(prob):
             code = ctx.groups[a]
             antisymmetric = subsets[p] < 0
             if ctx.partner[a] == b and (code, antisymmetric) in ((GroupCode.S_DUMMY, True), (GroupCode.A_DUMMY, False)):
-                return code
+                fired.add((1, code))
             if code == ctx.groups[b] == GroupCode.COMPONENT and ctx.values[a] == ctx.values[b] and antisymmetric:
-                return code
-    return None
+                fired.add((2, code))
+    subset_of = {label: subsets[p] for p, label in enumerate(g[: prob.n], 1)}
+    label = 1
+    for c in prob.classes:
+        if c.kind == "dummy":
+            # (lower leg's subset, upper leg's subset) of each pair
+            pairs = [(subset_of[x], subset_of[x + 1]) for x in range(label, label + 2 * c.size, 2)]
+            for a, b in itertools.combinations(pairs, 2):
+                if a[0] * a[1] < 0 and (a == b or c.metric != "none" and a == b[::-1]):
+                    fired.add((3, ctx.groups[label]))
+        label += 2 * c.size if c.kind == "dummy" else c.size
+    return fired
 
 
-def test_zero_before_search_agrees_with_the_search(monkeypatch):
+def test_zero_before_search_agrees_with_the_search():
     """The sweep before the first pass fires exactly where the plain
-    reference does; wherever it fires the full search, with the sweep
-    turned off, gives zero too; and turning it off changes no output."""
-    problems = list(small_bench_problems())
-    for rng, prob, _context in mixed_bundle_problems():
-        problems.append(prob)
-        problems += [dataclasses.replace(prob, g_init=compose(l, compose(prob.g_init, s))) for l, s in random_moves(prob, rng, 3)]
+    reference does, each case under every metric it can see, the third
+    also alone; and wherever it fires, the oracle gives zero."""
+    problems = [*small_bench_problems(), *mixed_problems_with_moves(), *symmetric_product_problems()]
     problems = [prob for prob in problems if not prob.S.has_minus_one]
-    codes = [reference_zero_before_search(prob) for prob in problems]
-    for prob, code in zip(problems, codes):
-        assert canon_fast.zero_before_search(prob.g_init.images, prob.ctx, prob.subsets) == (code is not None)
-    shipped = [prob.canonicalize() for prob in problems]
-    monkeypatch.setattr(canon_fast, "zero_before_search", lambda g, ctx, subsets: False)
-    searched = [prob.canonicalize() for prob in problems]
-    assert searched == shipped
-    assert all(result.is_zero for result, code in zip(searched, codes) if code is not None)
-    fired = Counter(codes)
-    assert min(fired[code] for code in (GroupCode.COMPONENT, GroupCode.S_DUMMY, GroupCode.A_DUMMY)) > 0, fired
+    fired, alone, oracle = Counter(), Counter(), Counter()
+    for prob in problems:
+        cases = reference_zero_before_search(prob)
+        assert canon_fast.zero_before_search(prob.g_init.images, prob.ctx, prob.subsets) == bool(cases)
+        fired.update(cases)
+        alone.update(cases if len(cases) == 1 else ())
+        if cases and prob.S.group_order <= 10**4:
+            assert brute_force_canonicalize(prob.g_init, enumerate_group(prob.S), prob.classes).is_zero
+            oracle.update(cases)
+    wanted = [(1, GroupCode.S_DUMMY), (1, GroupCode.A_DUMMY), (2, GroupCode.COMPONENT),
+              (3, GroupCode.S_DUMMY), (3, GroupCode.A_DUMMY), (3, GroupCode.L_DUMMY)]
+    assert min(oracle[case] for case in wanted) > 0, oracle
+    assert min(alone[case] for case in wanted if case[0] == 3) > 0, alone
+
+
+def test_an_empty_trace_means_a_zero_proved_before_any_pass():
+    """``configs_per_slot == []`` exactly when the result is a zero proved
+    before the first pass, by -1 ∈ S or by the sweep; a zero the search's
+    ±g scan finds leaves the passes it ran."""
+    causes = Counter()
+    smallest = make_problem("tensor M rank=2 sym=1..2\ntensor A rank=2 asym=1..2", "M^{a b} A_{a b}")
+    for prob in [smallest, *small_bench_problems(), *mixed_problems_with_moves(), *symmetric_product_problems()]:
+        trace = {}
+        result = prob.canonicalize(trace=trace)
+        before = prob.S.has_minus_one or canon_fast.zero_before_search(prob.g_init.images, prob.ctx, prob.subsets)
+        assert (trace["configs_per_slot"] == []) == before, (prob.classes, prob.g_init)
+        assert result.is_zero or not before
+        causes["before" if before else "search" if result.is_zero else "nonzero"] += 1
+    assert min(causes.values()) > 0 and len(causes) == 3, causes
 
 
 def reference_least_values(i, orbit, configs, ctx, prop):
@@ -473,7 +494,7 @@ def reference_least_values(i, orbit, configs, ctx, prop):
     n, values = ctx.n, ctx.values
     least_value = n
     instances = [[] for _ in configs]
-    for k, (g, s, *_) in enumerate(configs):
+    for k, (g, s) in enumerate(configs):
         for p in orbit:
             q = p
             entry = prop[s[p - 1]]
@@ -560,7 +581,8 @@ def reference_zero(g, s, ctx, subsets, prop):
 
 
 def reference_append(instances, g, s, least_value, S, i, ctx, subsets, prop):
-    """The children of (g, s) built as signed permutations: a fresh
+    """The children of (g, s) built as signed permutations, each with
+    whether it is an exchange child (p != q): a fresh
     ``label_permutation_from_group`` composed with the signed label swap of
     an exchange, ``compose`` with ``S.tree(i).rep(p)`` even where it is the
     identity, and ``g.index`` for each partner's slot."""
@@ -586,24 +608,20 @@ def reference_append(instances, g, s, least_value, S, i, ctx, subsets, prop):
             ell = compose(ell, swap)
         u = S.tree(i).rep(p)
         child = compose(compose(ell, SignedPermutation(g)), u)
-        children.append((child.images, compose(SignedPermutation(s), u).images, prop if p == q else None))
+        children.append((child.images, compose(SignedPermutation(s), u).images, p != q))
     return children
 
 
 def test_updates_match_their_references(monkeypatch):
     """Each least-value scan returns what :func:`reference_least_values`
     does; each propagation update equals :func:`reference_update`, and is its
-    ``prop`` argument exactly when it adds nothing; each zero check answers
-    as :func:`reference_zero` does, on the mixed problems also with the
-    sweep before the first pass turned off, so that the check meets the
-    zeros that sweep takes; the children each configuration appends
-    are those of :func:`reference_append`, each carrying its parent's
-    ``prop`` object or None; each narrowed label context, kept or returned
-    as it was, equals :func:`reference_narrow`; and each label table kept
-    for a layout is the one its built context gives."""
+    ``prop`` argument exactly when it adds nothing; the children each
+    configuration appends are those of :func:`reference_append`; each
+    narrowed label context, kept or returned as it was, equals
+    :func:`reference_narrow`; and each label table kept for a layout is the
+    one its built context gives."""
     least = canon_fast.get_least_value_instances
     update = canon_fast.update_propagated_symmetries
-    zero = canon_fast.zero_due_to_propagated_symmetries
     append = canon_fast.append_non_redundant_instances
     narrow = canon_fast.update_context
     counts = Counter()
@@ -631,22 +649,14 @@ def test_updates_match_their_references(monkeypatch):
         counts["unchanged"] += new is prop
         return new
 
-    def checked_zero(g, s, ctx, subsets, prop):
-        vanishes = zero(g, s, ctx, subsets, prop)
-        assert vanishes is reference_zero(g, s, ctx, subsets, prop)
-        counts["checks"] += 1
-        counts["zeros"] += vanishes
-        return vanishes
-
     def checked_append(out, instances, g, s, least_value, S, i, ctx, subsets, prop):
         before = len(out)
         append(out, instances, g, s, least_value, S, i, ctx, subsets, prop)
         children = out[before:]
         expected = reference_append(instances, g, s, least_value, S, i, ctx, subsets, prop)
-        assert [c[:2] for c in children] == [c[:2] for c in expected]
-        assert all(c[2] is e[2] for c, e in zip(children, expected))
+        assert children == [c[:2] for c in expected]
         counts["children"] += len(children)
-        counts["exchange children"] += sum(c[2] is None for c in children)
+        counts["exchange children"] += sum(c[2] for c in expected)
         counts["moved children"] += sum(c[1] != s for c in children)  # non-identity representative
         return out
 
@@ -666,26 +676,18 @@ def test_updates_match_their_references(monkeypatch):
 
     monkeypatch.setattr(canon_fast, "get_least_value_instances", checked_least)
     monkeypatch.setattr(canon_fast, "update_propagated_symmetries", checked_update)
-    monkeypatch.setattr(canon_fast, "zero_due_to_propagated_symmetries", checked_zero)
     monkeypatch.setattr(canon_fast, "append_non_redundant_instances", checked_append)
     monkeypatch.setattr(canon_fast, "update_context", checked_narrow)
     for prob in small_bench_problems():
         prob.canonicalize()
         check_tables(prob.ctx)
-    mixed = []
     for rng, prob, context in mixed_bundle_problems():
         assert_coset_invariant(prob, rng, 3, False, context)
         check_tables(prob.ctx)
-        mixed.append(prob)
-    # with the sweep before the first pass off, the zero rules fire
-    monkeypatch.setattr(canon_fast, "zero_before_search", lambda g, ctx, subsets: False)
-    for prob in mixed:
-        prob.canonicalize()
     assert counts["scans"] > counts["exchanges"] > 0, counts
     assert counts["updates"] > counts["unchanged"] > 0, counts
     assert counts["tables"] > 0, counts
     assert counts["contexts"] > counts["frozen"] > 0, counts
-    assert counts["checks"] > counts["zeros"] > 0, counts
     assert counts["children"] > counts["moved children"] > 0, counts
     assert counts["children"] > counts["exchange children"] > 0, counts
 
