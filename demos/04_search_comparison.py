@@ -6,7 +6,7 @@ The baseline's configuration list swells to 6! = 720 entries, while the
 propagation-aware engine keeps exactly one configuration per slot.
 """
 
-from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
+from tensorcanon.canon_baseline import butler_portugal
 from tensorcanon.frontend import Registry, parse, build_problem, render
 
 reg = Registry()
@@ -15,7 +15,7 @@ mono = parse("T_{b d c f a e} S^{e b f d a c}", reg)
 prob = build_problem(mono, reg)
 
 trace = {}
-result = butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes), trace=trace)
+result = butler_portugal(prob.g_init, prob.S, prob.classes, trace=trace)
 counts = trace["configs_per_slot"]
 print("baseline configurations per slot:", counts)
 print("peak:", max(counts), " visited through slot 6:", 1 + sum(counts[:6]))

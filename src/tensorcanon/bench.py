@@ -40,7 +40,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .canon_baseline import LabelBsgs, butler_portugal
+from .canon_baseline import butler_portugal
 from .frontend import Registry, parse, build_problem, render, factor_text
 from .oracle import brute_force_canonicalize, enumerate_group
 
@@ -208,13 +208,12 @@ def run_case(case, engine, time_budget=None):
     trace = {}
     if engine not in ("fast", "baseline"):
         raise ValueError(f"unknown engine {engine!r}")
-    L = LabelBsgs.from_classes(problem.classes) if engine == "baseline" else None
     with budget(time_budget):
         t0 = time.perf_counter()
-        if L is None:
+        if engine == "fast":
             result = problem.canonicalize(trace=trace)
         else:
-            result = butler_portugal(problem.g_init, problem.S, L, trace=trace)
+            result = butler_portugal(problem.g_init, problem.S, problem.classes, trace=trace)
         elapsed = time.perf_counter() - t0
     return {
         "family": case.family,

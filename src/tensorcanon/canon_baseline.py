@@ -77,13 +77,16 @@ class LabelBsgs:
         return [g for g in self.gens if all(g[b] == b for b in pinned)]
 
 
-def butler_portugal(g_init, S, L, trace=None):
-    """Canonicalize ``g_init`` with slot group ``S`` and label group ``L``.
+def butler_portugal(g_init, S, classes, trace=None):
+    """Canonicalize ``g_init`` with slot group ``S`` and the label group of ``classes``.
 
+    ``classes`` is the <-ordered class list (see label_context.build),
+    from which :meth:`LabelBsgs.from_classes` builds the label group.
     Returns a :class:`~tensorcanon.signed_perm.CanonResult`, zero at
     once when ``S.has_minus_one``.  ``trace``, if given, receives
     ``configs_per_slot`` and ``max_configs``.
     """
+    L = LabelBsgs.from_classes(classes)
     n = L.n
 
     def finish(result, counts):

@@ -331,8 +331,8 @@ def append_non_redundant_instances(out, instances, g, s, least_value, S, i, ctx,
     An exchange child (p != q) folds in the swap of the two labels,
     signed by their family: two entries of the table, and the sign pair
     when the family is negative.  stilde is ``S.tree(i).rep(p)``, slot
-    i's coset representative for p, which the tree keeps from its first
-    use.
+    i's coset representative for p, which the tree holds from its
+    construction.
 
     Each child is appended as ``(ltilde∘g∘stilde, s∘stilde)``:
     g is translated through ltilde's table, then the result x and s are

@@ -9,11 +9,13 @@ slots".
 Every chain is built by :func:`schreier_sims`, and every level's tree is
 a :class:`SchreierTree`.  Trees are built breadth-first with generators
 tried in ascending index order, which makes coset representatives
-deterministic.  Each tree builds a representative and its inverse the
-first time it is asked for and keeps them; a kept permutation keeps the
-``bytes.translate`` table :attr:`SignedPermutation.table` builds on its
-first composition, so a generator or an inverse representative is
-composed through one table however often it is used.
+deterministic.  Each tree holds its whole transversal from construction:
+the BFS builds a point's representative when it finds the point.  Only
+an inverse is built the first time it is asked for, and kept; a kept
+permutation keeps the ``bytes.translate`` table
+:attr:`SignedPermutation.table` builds on its first composition, so a
+generator or an inverse representative is composed through one table
+however often it is used.
 Everything else is read off the chain: membership sifts through the
 trees (:func:`_sift`, shared with Schreier-Sims), whether -identity is
 a member (:attr:`Bsgs.has_minus_one`) from the sign level, and the
@@ -36,70 +38,51 @@ from .signed_perm import SignedPermutation, identity, from_signed_cycles, compos
 class SchreierTree:
     """BFS orbit tree rooted at ``root`` over a fixed generator list.
 
-    The tree is the one cache of its coset representatives: :meth:`rep`
-    builds each the first time it is asked for and keeps it, and
-    :meth:`rep_inverse` keeps its inverse, which sifting composes with.
-    Both are deterministic and immutable for a fixed generator list, and
-    Schreier-Sims builds a new tree whenever a level's generators
-    change, so a memo never outlives the generators it was built from.
-    A chain keeps its trees, so every monomial that shares a slot chain
-    (``frontend.Registry.products``) shares them.
+    The tree holds its whole transversal from construction: when
+    generator g first takes orbit point p to a new point t, the BFS
+    keeps ``reps[t] = g ∘ reps[p]``, so :meth:`rep` is a lookup.  Only
+    :meth:`rep_inverse`, which sifting composes with, is built the first
+    time it is asked for and kept.  Both are deterministic and immutable
+    for a fixed generator list, and Schreier-Sims builds a new tree
+    whenever a level's generators change, so a memo never outlives the
+    generators it was built from.  A chain keeps its trees, so every
+    monomial that shares a slot chain (``frontend.Registry.products``)
+    shares them.
     """
 
     def __init__(self, root, gens, degree):
-        self.root = root
-        self.degree = degree
-        # orbit point -> (previous point, generator mapping previous ->
-        # point); the root maps to None
-        self._edges = edges = {root: None}
-        self._reps = {}
+        # a dict keeps insertion order, which is BFS order
+        self._reps = reps = {root: identity(degree - 2)}
         self._inverses = {}
-        orbit = [root]
         frontier = [root]
         while frontier:
             nxt = []
             for p in frontier:
+                u = reps[p]
                 for g in gens:
                     t = g.images[p - 1]
-                    if t not in edges:
-                        edges[t] = (p, g)
-                        orbit.append(t)
+                    if t not in reps:
+                        reps[t] = compose(g, u)
                         nxt.append(t)
             frontier = nxt
-        self.orbit = tuple(orbit)
+        self.orbit = tuple(reps)
 
     def __contains__(self, point):
-        return point in self._edges
+        return point in self._reps
 
     def __len__(self):
         return len(self.orbit)
 
     def rep(self, target):
         """A group element u with u[root] == target."""
-        u = self._reps.get(target)
-        if u is None:
-            u = self._reps[target] = self._walk(target)
-        return u
+        return self._reps[target]
 
     def rep_inverse(self, target):
         """The inverse of ``rep(target)``: u⁻¹ with u⁻¹[target] == root."""
         v = self._inverses.get(target)
         if v is None:
-            v = self._inverses[target] = inverse(self.rep(target))
+            v = self._inverses[target] = inverse(self._reps[target])
         return v
-
-    def _walk(self, target):
-        if target not in self._edges:
-            raise KeyError(f"point {target} not in orbit of {self.root}")
-        u = identity(self.degree - 2)
-        t = target
-        while t != self.root:
-            prev, g = self._edges[t]
-            # Walking from the target back to the root accumulates
-            # g_k ∘ ... ∘ g_1 with g_1 applied first, so u[root] == target.
-            u = compose(u, g)
-            t = prev
-        return u
 
 
 class Bsgs:

@@ -116,7 +116,9 @@ class CanonResult:
 
 def identity(n):
     """The identity signed permutation of degree n."""
-    return SignedPermutation(range(1, n + 3))
+    if n > MAX_SLOTS:
+        raise ValueError(f"degree {n} is over MAX_SLOTS = {MAX_SLOTS}")
+    return SignedPermutation(_IDENTITY[1 : n + 3])
 
 
 def from_signed_cycles(n, sign, cycles):

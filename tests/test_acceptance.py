@@ -21,7 +21,7 @@ from tensorcanon.bench import (
     run_bench,
     run_case,
 )
-from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
+from tensorcanon.canon_baseline import butler_portugal
 from tensorcanon.frontend import Registry, parse, build_problem, render
 from tensorcanon.label_context import GroupCode, IndexClass, build, update_context
 from tensorcanon.perm_group import schreier_sims, detect_symmetric_subsets
@@ -37,7 +37,7 @@ def canon_both(decls, expr):
     mono = parse(expr, reg)
     prob = build_problem(mono, reg)
     fast = render(prob.canonicalize(), mono, reg)
-    base = render(butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes)), mono, reg)
+    base = render(butler_portugal(prob.g_init, prob.S, prob.classes), mono, reg)
     assert fast == base, (expr, fast, base)
     return fast
 
@@ -216,7 +216,7 @@ def test_baseline_factorial_blowup_goldens():
         "T_{b d c f a e} S^{e b f d a c}",
     )
     trace = {}
-    result = butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes), trace=trace)
+    result = butler_portugal(prob.g_init, prob.S, prob.classes, trace=trace)
     counts = trace["configs_per_slot"]
     assert max(counts) == 720
     assert 1 + sum(counts[:6]) == 1957

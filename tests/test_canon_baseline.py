@@ -30,7 +30,7 @@ def test_frustrated_contraction_counts():
         "T_{b d c f a e} S^{e b f d a c}",
     )
     trace = {}
-    result = butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes), trace=trace)
+    result = butler_portugal(prob.g_init, prob.S, prob.classes, trace=trace)
     counts = trace["configs_per_slot"]
     assert counts[:6] == [6, 30, 120, 360, 720, 720]
     assert max(counts) == 720
@@ -44,18 +44,18 @@ def test_frustrated_contraction_result_sorted():
         "tensor T rank=6 sym=1..6\ntensor S rank=6 sym=1..6",
         "T_{b d c f a e} S^{e b f d a c}",
     )
-    result = butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes))
+    result = butler_portugal(prob.g_init, prob.S, prob.classes)
     assert render(result, mono, reg) == "T_{a b c d e f} S^{a b c d e f}"
 
 
 def test_antisymmetric_repeated_component_is_zero():
     _, _, prob = make_problem("tensor A rank=2 asym=1..2", "A_{1 1}")
-    assert butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes)).is_zero
+    assert butler_portugal(prob.g_init, prob.S, prob.classes).is_zero
 
 
 def test_antisymmetric_swap_collects_sign():
     reg, mono, prob = make_problem("tensor A rank=2 asym=1..2", "A_{2 1}")
-    result = butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes))
+    result = butler_portugal(prob.g_init, prob.S, prob.classes)
     assert not result.is_zero
     assert result.g.sign == -1
     assert render(result, mono, reg) == "-A_{1 2}"
@@ -66,12 +66,12 @@ def test_sym_antisym_contraction_is_zero():
         "tensor M rank=2 sym=1..2\ntensor A rank=2 asym=1..2",
         "M^{a b} A_{a b}",
     )
-    assert butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes)).is_zero
+    assert butler_portugal(prob.g_init, prob.S, prob.classes).is_zero
 
 
 def test_no_symmetry_is_identity():
     _, _, prob = make_problem("tensor T rank=3", "T_{x y z}")
-    result = butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes))
+    result = butler_portugal(prob.g_init, prob.S, prob.classes)
     assert result.g == prob.g_init
 
 
@@ -134,7 +134,7 @@ def test_trace_reports_max_configs():
         "tensor T rank=4 sym=1..4\ntensor S rank=4 sym=1..4",
         "T_{b d a c} S^{c a d b}",
     )
-    butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes), trace=trace)
+    butler_portugal(prob.g_init, prob.S, prob.classes, trace=trace)
     assert trace["max_configs"] == max(trace["configs_per_slot"])
     assert trace["max_configs"] == 24
 
@@ -149,7 +149,7 @@ def test_deadline_aborts():
     trace = {}
     with pytest.raises(TimeoutError) as info:
         with budget(0.01):
-            butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes), trace=trace)
+            butler_portugal(prob.g_init, prob.S, prob.classes, trace=trace)
     assert "butler_portugal" in [f.name for f in traceback.extract_tb(info.tb)]
     assert trace == {}  # the run never reached its end
 
@@ -162,7 +162,7 @@ def test_minus_one_in_the_slot_group_vanishes():
         _, _, prob = make_problem(decls, expr)
         assert prob.S.has_minus_one
         base, fast = {}, {}
-        assert butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes), trace=base).is_zero
+        assert butler_portugal(prob.g_init, prob.S, prob.classes, trace=base).is_zero
         assert prob.canonicalize(trace=fast).is_zero
         assert base["configs_per_slot"] == fast["configs_per_slot"] == [], expr
 

@@ -55,14 +55,13 @@ def test_canon_input_error_is_one_line_and_status_2(argv, capsys):
     (["bench", "--sizes", "2", "--time-budget", "0"], "error: --time-budget: must be positive, got 0\n"),
     (["bench", "--sizes", "2", "--time-budget", "inf"], "error: --time-budget: must be at most 1e+09, got inf\n"),
     (["bench", "--sizes", "2", "--time-budget", "1e10"], "error: --time-budget: must be at most 1e+09, got 1e+10\n"),
-    (["oracle-check", "--max-slots", "0"], "error: --max-slots: must be positive, got 0\n"),
     (["oracle-check", "--cap", "0"], "error: --cap: must be positive, got 0\n"),
     (["bench", "--sizes", ","], "error: --sizes: no items\n"),
     (["oracle-check", "--sizes", ","], "error: --sizes: no items\n"),
     (["bench", "--sizes", "2", "--out", "no-such-dir/x.csv"], "error: --out: cannot write 'no-such-dir/x.csv': "),
-    (["oracle-check", "--sizes", "11"], "error: no instance checked: every case is over --max-slots 10 or --cap "),
+    (["oracle-check", "--families", "riemann", "--sizes", "11"], "error: no instance checked: every case is over --cap "),
 ], ids=["engines", "sizes", "families", "bench-sizes-0", "oracle-sizes-negative", "bench-trials",
-        "oracle-trials", "time-budget", "time-budget-inf", "time-budget-1e10", "max-slots", "cap", "bench-sizes-empty", "oracle-sizes-empty", "out",
+        "oracle-trials", "time-budget", "time-budget-inf", "time-budget-1e10", "cap", "bench-sizes-empty", "oracle-sizes-empty", "out",
         "oracle-nothing-checked"])
 def test_bad_argument_is_one_line_and_status_2(argv, message, capsys):
     assert cli.main(argv) == 2
@@ -99,7 +98,7 @@ sys.meta_path.insert(0, BlockNumpy())
 
 
 def test_oracle_check_runs_with_numpy_blocked():
-    argv = ["oracle-check", "--families", "riemann", "--sizes", "2,4", "--max-slots", "16", "--trials", "1"]
+    argv = ["oracle-check", "--families", "riemann", "--sizes", "2,4", "--trials", "1"]
     code = BLOCK_NUMPY + f"from tensorcanon import cli; sys.exit(cli.main({argv!r}))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "checked 2 instances, 0 mismatches\n", "")

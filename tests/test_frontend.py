@@ -494,39 +494,59 @@ def test_shared_registry_matches_a_fresh_one_per_monomial():
     assert products < cases
 
 
+def _count_tree_builds_and_compositions(monkeypatch):
+    """Count ``SchreierTree`` constructions and calls of ``perm_group.compose``."""
+    counts = {"trees": 0, "compose": 0}
+    init, compose = SchreierTree.__init__, perm_group.compose
+
+    def counted_init(tree, *args):
+        counts["trees"] += 1
+        init(tree, *args)
+
+    def counted_compose(*args):
+        counts["compose"] += 1
+        return compose(*args)
+
+    monkeypatch.setattr(SchreierTree, "__init__", counted_init)
+    monkeypatch.setattr(perm_group, "compose", counted_compose)
+    return counts
+
+
 def test_coset_representatives_are_built_once_per_declaration(monkeypatch):
-    walks = []
-    walk = SchreierTree._walk
-    monkeypatch.setattr(SchreierTree, "_walk", lambda tree, target: walks.append(target) or walk(tree, target))
+    # every representative is built with its tree, so canonicalizing
+    # composes none, and the second monomial builds no tree
+    counts = _count_tree_builds_and_compositions(monkeypatch)
     reg = Registry()
     reg.declare("tensor T rank=8 sym=1..8")
-    outputs, built = [], []
+    outputs, trees = [], []
     for expr in ("T_{a b c d e f g h}", "T_{h c g a f b e d}"):
         mono = parse(expr, reg)
-        outputs.append(render(build_problem(mono, reg).canonicalize(), mono, reg))
-        built.append(len(walks))
-    assert 0 < built[0] == built[1]
+        prob = build_problem(mono, reg)
+        composed = counts["compose"]
+        outputs.append(render(prob.canonicalize(), mono, reg))
+        assert counts["compose"] == composed, expr
+        trees.append(counts["trees"])
+    assert 0 < trees[0] == trees[1]
     assert outputs == ["T_{a b c d e f g h}"] * 2
 
 
 def test_product_representatives_are_built_once_per_product(monkeypatch):
-    walks = []
-    walk = SchreierTree._walk
-    monkeypatch.setattr(SchreierTree, "_walk", lambda tree, target: walks.append((tree, target)) or walk(tree, target))
+    counts = _count_tree_builds_and_compositions(monkeypatch)
     reg = Registry()
     reg.declare("tensor T rank=4 sym=1..2")
     reg.declare('tensor R rank=4 gens="-(1,2),+(1,3)(2,4),-(3,4)"')
-    products, outputs = set(), []
+    products, outputs, trees = set(), [], []
     for expr in ("T_{a b c d} R^{d c e f}", "T_{d c b a} R^{e f c d}", "T_{b a c d} R^{f e d c}"):
         mono = parse(expr, reg)
         prob = build_problem(mono, reg)
         products.add(prob.S)
+        composed = counts["compose"]
         outputs.append(render(prob.canonicalize(), mono, reg))
+        assert counts["compose"] == composed, expr
+        trees.append(counts["trees"])
     assert outputs == ["-T_{a b c d} R^{e f c d}", "0", "T_{a b c d} R^{e f c d}"]
-    (S,) = products
-    # the product's own trees are walked, each (tree, target) once
-    assert {tree for tree, _ in walks} & {S.tree(level) for level in range(1, S.degree + 1)}
-    assert len(set(walks)) == len(walks)
+    assert len(products) == 1
+    assert 0 < trees[0] == trees[1] == trees[2]
 
 
 @pytest.mark.parametrize("redeclared", ["tensor T rank=3 asym=1..3", "tensor T rank=2 asym=1..2"])

@@ -154,12 +154,12 @@ def random_moves(prob, rng, count):
 def assert_coset_invariant(prob, rng, moves, baseline, context):
     fast = prob.canonicalize()
     if baseline:
-        assert butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes)) == fast, context
+        assert butler_portugal(prob.g_init, prob.S, prob.classes) == fast, context
     for l, s in random_moves(prob, rng, moves):
         moved = compose(l, compose(prob.g_init, s))
         assert dataclasses.replace(prob, g_init=moved).canonicalize() == fast, (context, moved)
         if baseline:
-            assert butler_portugal(moved, prob.S, LabelBsgs.from_classes(prob.classes)) == fast, (context, moved)
+            assert butler_portugal(moved, prob.S, prob.classes) == fast, (context, moved)
     return fast
 
 
@@ -243,7 +243,7 @@ def test_oracle_fuzz_components_and_metricless_bundles():
         expected = brute_force_canonicalize(prob.g_init, enumerate_group(prob.S), prob.classes)
         context = (trial, decls, expr)
         assert prob.canonicalize() == expected, context
-        assert butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes)) == expected, context
+        assert butler_portugal(prob.g_init, prob.S, prob.classes) == expected, context
         checked += 1
         zeros += expected.is_zero
     assert checked == 4000 and 0 < zeros < checked
@@ -715,7 +715,7 @@ def test_baseline_label_generators_reach_the_whole_stabilizer(monkeypatch):
     kinds = set()
     for prob in problems:
         seen.clear()
-        butler_portugal(prob.g_init, prob.S, LabelBsgs.from_classes(prob.classes))
+        butler_portugal(prob.g_init, prob.S, prob.classes)
         group = [e.images for e in enumerate_label_group(prob.classes, prob.n)]
         for pinned, gens in seen:
             stabilizer = [e for e in group if all(e[b - 1] == b for b in pinned)]

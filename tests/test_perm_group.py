@@ -268,3 +268,49 @@ def test_wrong_order_falls_back_to_verification(n, ranges, monkeypatch):
         S = schreier_sims(n, gens, wrong)
         assert sifts
         assert _chain_data(S) == _chain_data(verified)
+
+
+def _walked_rep(root, gens, target, n):
+    """The representative of ``target`` by the textbook walk: BFS edges
+    recorded per point, then the generators on the path from the target
+    back to the root composed as g_k ∘ ... ∘ g_1."""
+    edges = {root: None}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                if g[p] not in edges:
+                    edges[g[p]] = (p, g)
+                    nxt.append(g[p])
+        frontier = nxt
+    u = identity(n)
+    while target != root:
+        target, g = edges[target]
+        u = compose(u, g)
+    return u
+
+
+@pytest.mark.parametrize("n, texts", [
+    (4, ["-(1,2)", "+(1,3)(2,4)", "-(3,4)"]),
+    (6, ["+(1,2,3,4,5,6)", "-(1,2)"]),
+    (7, ["+(2,5)(3,7)", "+(1,4,6)", "-(5,6,7)"]),
+])
+def test_schreier_tree_holds_its_transversal_from_construction(n, texts, monkeypatch):
+    gens = [parse_cycles(t, n) for t in texts]
+    for root in range(1, n + 2):
+        tree = perm_group.SchreierTree(root, gens, n + 2)
+        calls = []
+        monkeypatch.setattr(perm_group, "compose", lambda *args: calls.append(args))
+        reps = [tree.rep(t) for t in tree.orbit]
+        monkeypatch.undo()
+        assert calls == []  # every representative is a lookup
+        assert tree.orbit[0] == root and reps[0] == identity(n)
+        for t, u in zip(tree.orbit, reps):
+            assert u[root] == t
+            assert u == _walked_rep(root, gens, t, n)
+            assert tree.rep_inverse(t) == inverse(u)
+        outside = next((p for p in range(1, n + 3) if p not in tree), None)
+        if outside is not None:
+            with pytest.raises(KeyError):
+                tree.rep(outside)
