@@ -7,10 +7,10 @@ into the slot spawns a candidate.  Duplicates are removed by sorting;
 a +g/-g collision means the monomial vanishes.
 
 The label group L is carried as its structural generators over the
-label space (:class:`LabelBsgs`).  Each slot pass reads orbits and
-coset representatives off BFS Schreier trees over the generators that
-fix every label consumed so far, which generate the pointwise
-stabilizer of those labels in L.
+label space (:class:`LabelBsgs`).  Each slot pass takes the orbits of
+the generators that fix every label consumed so far, which generate
+the pointwise stabilizer of those labels in L, at their least points
+(Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559).
 """
 
 from __future__ import annotations
@@ -82,6 +82,11 @@ def butler_portugal(g_init, S, classes, trace=None):
 
     ``classes`` is the <-ordered class list (see label_context.build),
     from which :meth:`LabelBsgs.from_classes` builds the label group.
+    Pass i scans labels upward, rooting a BFS Schreier tree at each one
+    that no earlier tree of the pass reached, the least of its orbit,
+    up to the first tree whose orbit meets a label in slot i's orbit: its
+    root is the least label reachable there, and its inverse
+    representatives bring that label into slot i.
     Returns a :class:`~tensorcanon.signed_perm.CanonResult`, zero at
     once when ``S.has_minus_one``.  ``trace``, if given, receives
     ``configs_per_slot`` and ``max_configs``.
@@ -103,36 +108,17 @@ def butler_portugal(g_init, S, classes, trace=None):
     for i in range(1, n + 1):
         orbit = S.orbit_of(i)
         gens = L.stabilizer_gens(pinned)
-        # Phase 1: the globally least label reachable in slot i's orbit,
-        # and per (configuration, slot) the relabelling reaching it.
-        cache = {}
-
-        def reach(label):
-            if label not in cache:
-                tree = SchreierTree(label, gens, n + 2)
-                cache[label] = (min(tree.orbit), tree)
-            return cache[label]
-
-        global_least = n + 1
-        pairs = []  # (config index, slot j)
-        for k, g in enumerate(configs):
-            for j in orbit:
-                least, _ = reach(g[j])
-                if least < global_least:
-                    global_least = least
-                    pairs = [(k, j)]
-                elif least == global_least:
-                    pairs.append((k, j))
-        pinned.append(global_least)
-        # Phase 2: spawn the candidates.  The tree rooted at g[j] gives
-        # the relabelling sending g[j] to the least label directly.
-        out = []
-        for k, j in pairs:
-            g = configs[k]
-            _, tree = reach(g[j])
-            ell = tree.rep(global_least)
-            s = S.coset_rep(i, j)
-            out.append(compose(ell, compose(g, s)))
+        present = {g[j] for g in configs for j in orbit}
+        covered = set(pinned)  # a pinned label is fixed and not present
+        for least in range(1, n + 1):
+            if least not in covered:
+                tree = SchreierTree(least, gens, n + 2)
+                if not present.isdisjoint(tree.orbit):
+                    break
+                covered.update(tree.orbit)
+        pinned.append(least)
+        ell = {x: tree.rep_inverse(x) for x in present.intersection(tree.orbit)}  # x -> the least label
+        out = [compose(ell[g[j]], compose(g, S.coset_rep(i, j))) for g in configs for j in orbit if g[j] in ell]
         configs = sorted(set(out))
         counts.append(len(configs))
         for a, b in zip(configs, configs[1:]):

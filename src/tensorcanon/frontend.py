@@ -108,7 +108,7 @@ new key and the old one stays with the monomials parsed before.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby, islice
 from operator import itemgetter
 
@@ -126,26 +126,7 @@ class FrontendError(ValueError):
 class TensorDecl:
     name: str
     rank: int
-    gens: list = field(default_factory=list)  # SignedPermutation, degree == rank
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise FrontendError(f"tensor {self.name}: rank must be positive, got {self.rank}")
-        for g in self.gens:
-            if g.degree != self.rank:
-                raise FrontendError(
-                    f"tensor {self.name}: generator degree {g.degree} != rank {self.rank}"
-                )
-
-
-@dataclass
-class Bundle:
-    name: str
-    metric: str  # symmetric | antisymmetric | none
-
-    def __post_init__(self):
-        if self.metric not in ("symmetric", "antisymmetric", "none"):
-            raise FrontendError(f"bundle {self.name}: unknown metric {self.metric!r}")
+    gens: list  # SignedPermutation, degree == rank
 
 
 class Registry:
@@ -153,7 +134,7 @@ class Registry:
 
     def __init__(self):
         self.tensors = {}
-        self.bundles = {}  # name -> Bundle; declaration order matters for label order
+        self.bundles = {}  # name -> metric; declaration order matters for label order
         # a monomial's decls, one TensorDecl per factor -> (slot Bsgs, symmetric-subset slot array)
         self.products = {}
         # a monomial's classes, its class layout -> its initial LabelContext
@@ -208,6 +189,8 @@ class Registry:
                 raise FrontendError(f"unknown option {key!r} in {line!r}")
         if rank is None:
             raise FrontendError(f"tensor {name}: rank is required")
+        if rank < 1:
+            raise FrontendError(f"tensor {name}: rank must be positive, got {rank}")
         if rank > MAX_SLOTS:
             raise FrontendError(f"tensor {name}: rank {rank} is over the {MAX_SLOTS} slots a monomial may have")
         try:
@@ -239,7 +222,9 @@ class Registry:
             metric = val
         if metric is None:
             raise FrontendError(f"bundle {name}: metric is required")
-        self.bundles[name] = Bundle(name, metric)
+        if metric not in ("symmetric", "antisymmetric", "none"):
+            raise FrontendError(f"bundle {name}: unknown metric {metric!r}")
+        self.bundles[name] = metric
 
     def slot_group(self, decls):
         """(slot Bsgs, symmetric-subset slot array) of the product of
@@ -264,9 +249,6 @@ class Registry:
             if len(name) > best_len and token.startswith(name):
                 best, best_len = i, len(name)
         return best
-
-
-_DEFAULT_BUNDLE = Bundle("", "symmetric")
 
 
 def _parse_gen_list(text, rank):
@@ -333,7 +315,7 @@ def parse(text, registry):
 def _label(decls, tokens, registry):
     """Check that each index name is free or one dummy pair, label the
     slots, and record how each label prints."""
-    bundles = [*registry.bundles.values(), _DEFAULT_BUNDLE]
+    metrics = [*registry.bundles.values(), "symmetric"]
     occurrences = {}  # index name -> slot positions
     components = {}  # (bundle index, numeral) -> slot positions
     for pos, (text, _) in enumerate(tokens):
@@ -370,13 +352,13 @@ def _label(decls, tokens, registry):
     if frees:
         classes.append(IndexClass("free", len(frees)))
     for name in frees:
-        assign(occurrences[name][0], bundles[registry.bundle_index(name)].metric == "none")
+        assign(occurrences[name][0], metrics[registry.bundle_index(name)] == "none")
     for _key, where in sorted(components.items()):
         classes.append(IndexClass("component", len(where)))
         for pos in where:
             assign(pos, False)
     for bi in sorted(dummies):
-        metric = bundles[bi].metric
+        metric = metrics[bi]
         classes.append(IndexClass("dummy", len(dummies[bi]), metric=metric))
         keeps_variance = metric != "symmetric"
         for name in sorted(dummies[bi]):

@@ -123,16 +123,16 @@ def test_run_bench_csv_stream(monkeypatch):
 def test_run_bench_skips_slow_engine():
     out = io.StringIO()
     run_bench(
-        ["totalsym-frustrated"], [7, 8], 1, ["fast", "baseline"], out,
+        ["totalsym-frustrated"], [8, 9], 1, ["fast", "baseline"], out,
         time_budget=0.05,
     )
     rows = list(csv.DictReader(l for l in out.getvalue().splitlines() if not l.startswith("#")))
-    # the baseline exceeds the budget at size 7, is aborted mid-run,
-    # and never gets to size 8; the fast engine covers both sizes
+    # the baseline exceeds the budget at size 8 (about 0.5 s), is aborted
+    # mid-run, and never gets to size 9; the fast engine covers both sizes
     engines_by_size = {}
     for r in rows:
         engines_by_size.setdefault(r["n"], set()).add(r["engine"])
-    assert engines_by_size == {"14": {"fast"}, "16": {"fast"}}
+    assert engines_by_size == {"16": {"fast"}, "18": {"fast"}}
 
 
 def test_fit_exponent_recovers_power_law():

@@ -2,7 +2,7 @@ import traceback
 
 import pytest
 
-from tensorcanon.bench import budget
+from tensorcanon.bench import budget, generate
 from tensorcanon.canon_baseline import LabelBsgs, butler_portugal
 from tensorcanon.frontend import Registry, parse, build_problem, render
 from tensorcanon.label_context import IndexClass
@@ -18,6 +18,49 @@ def make_problem(decls, expr):
     reg.declare_all(decls)
     mono = parse(expr, reg)
     return reg, mono, build_problem(mono, reg)
+
+
+# (configs_per_slot, max_configs) of the baseline on bench cases of
+# every family, trial 0: the width of each pass of the double-coset search
+BASELINE_GOLDENS = {
+    ("sym-frees", 4, 0): ([1, 1, 1, 1], 1),
+    ("sym-frees", 8, 0): ([1] * 8, 1),
+    ("nosym-dummies", 6, 0): ([1] * 12, 1),
+    ("nosym-dummies", 8, 0): ([1] * 16, 1),
+    ("cyclic-dummies", 5, 0): ([5] * 6 + [2, 1, 1, 1], 5),
+    ("cyclic-dummies", 8, 0): ([8] * 9 + [2] + [1] * 6, 8),
+    ("cyclic-dummies", 20, 0): ([20] * 21 + [1] * 19, 20),
+    ("riemann", 4, 0): ([4, 4, 2, 2, 1, 1, 2, 2, 2, 2, 4, 4, 2, 1, 1, 1], 4),
+    ("riemann", 6, 0): (
+        [4, 4, 8, 8, 4, 4, 2, 2, 1, 1, 1, 1, 4, 4, 8, 8, 8, 8, 2, 2, 2, 1, 1, 1],
+        8,
+    ),
+    ("riemann", 8, 0): (
+        [4, 4, 8, 8, 32, 32, 64, 64, 16, 16, 32, 32, 32, 16, 32, 32, 32, 16, 8, 8, 4, 2] + [1] * 10,
+        64,
+    ),
+    ("totalsym-frustrated", 4, 0): ([4, 12, 24, 24, 6, 2, 1, 1], 24),
+    ("totalsym-frustrated", 5, 0): ([5, 20, 60, 120, 120, 24, 6, 2, 1, 1], 120),
+    ("totalsym-random", 6, 0): ([6, 1, 4, 12, 24, 24, 6, 2, 1, 1, 1, 1], 24),
+    ("totalsym-random", 7, 0): ([7, 1, 5, 20, 60, 120, 120, 72, 24, 8, 3, 1, 1, 1], 120),
+    ("pairwise-frustrated", 6, 0): ([3, 3, 6, 6, 6, 6, 2, 2, 1, 1, 1, 1], 6),
+    ("pairwise-frustrated", 8, 0): ([4, 4, 12, 12, 24, 24, 24, 24, 18, 12, 6, 2, 1, 1, 1, 1], 24),
+    ("pairwise-random", 5, 0): ([2, 2, 2, 2] + [1] * 6, 2),
+    ("pairwise-random", 8, 0): ([4, 4, 2, 2, 4] + [1] * 11, 4),
+    ("totalsym-many", 3, 0): ([4, 12, 24, 24, 6, 2, 4, 4, 2, 2, 1, 1], 24),
+    ("totalsym-many", 6, 0): (
+        [4, 1, 2, 2, 6, 2, 4, 4, 12, 4, 8, 8, 4, 4, 2, 1, 1, 2] + [1] * 6,
+        12,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BASELINE_GOLDENS), ids=lambda c: "%s-%d-%d" % c)
+def test_baseline_configuration_counts(case):
+    prob = generate(*case).problem
+    trace = {}
+    butler_portugal(prob.g_init, prob.S, prob.classes, trace=trace)
+    assert (trace["configs_per_slot"], trace["max_configs"]) == BASELINE_GOLDENS[case]
 
 
 def test_frustrated_contraction_counts():

@@ -154,7 +154,7 @@ def test_redeclared_bundle_replaces_the_first(first, second, expected):
     reg = Registry()
     reg.declare_all(f"bundle a metric={first}\nbundle z metric=none\nbundle a metric={second}\ntensor S rank=2 sym=1..2")
     # replaced in place: "a" keeps its position ahead of "z" in label order
-    assert reg.bundle_index("a1") == 0 and reg.bundles["a"].metric == second
+    assert reg.bundle_index("a1") == 0 and reg.bundles["a"] == second
     mono = parse("S_{a1}^{a2} S_{a2}^{a1}", reg)
     prob = build_problem(mono, reg)
     assert prob.classes[0].metric == second
